@@ -24,7 +24,7 @@ from .classify import (Classification, ConstraintRow, ConstraintSystem,
                        alternating_coefficient_rows, annihilator_prefilter,
                        classify, generate_constraints, residual_matrix,
                        solve, symmetric_ladder_hand_system,
-                       verify_rescaling_isomorphism)
+                       verify_rescaling_isomorphism, weight_prefilter)
 from .linalg import (Matrix, RowSpace, Scalar, format_scalar, nullspace,
                      parse_scalar, rank, rational_sqrt, rref)
 
@@ -44,6 +44,7 @@ __all__ = [
     "alternating_coefficient_rows", "annihilator_prefilter", "classify",
     "generate_constraints", "residual_matrix", "solve",
     "symmetric_ladder_hand_system", "verify_rescaling_isomorphism",
+    "weight_prefilter",
     "Matrix", "RowSpace", "Scalar", "format_scalar", "nullspace",
     "parse_scalar", "rank", "rational_sqrt", "rref",
     "__version__",

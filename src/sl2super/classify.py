@@ -16,6 +16,15 @@ its canonical nullspace, and ``classify`` packages the solutions as actual
 superalgebra tables, re-verified from scratch.  ``residual_matrix`` builds
 the same linear map by direct bracket evaluation on assembled tables, as an
 independent cross-check of the symbolic route.
+
+Two prefilters shrink the system before it is generated.
+``annihilator_prefilter`` flags odd positions whose products all vanish.
+``weight_prefilter`` zeroes the unknowns that the weights of a diagonally
+acting even basis vector (h, over sl2) force to vanish; on the catalog
+modules that leaves a few percent of the unknowns, and the generator visits
+only the triples that can touch one of them.  ``classify`` writes the
+solution of the reduced system back in full coordinates, where it equals
+the solution of the unreduced system exactly.
 """
 
 from __future__ import annotations
@@ -175,7 +184,8 @@ def _action_columns(mod: BimoduleSpec):
 
 def generate_constraints(even: SuperAlgebra, mod: BimoduleSpec,
                          symmetric: bool = True,
-                         zero_odd_indices: frozenset[int] = frozenset()
+                         zero_odd_indices: frozenset[int] = frozenset(),
+                         zero_unknowns: frozenset[UnknownId] = frozenset()
                          ) -> ConstraintSystem:
     """Expand the superidentity over every ordered basis triple with two or
     three odd members into linear rows over the unknown odd products.
@@ -185,7 +195,14 @@ def generate_constraints(even: SuperAlgebra, mod: BimoduleSpec,
     ``symmetric=False`` the two orders are independent unknowns and the
     solver itself must force their equality.  ``zero_odd_indices`` pre-zeroes
     every product touching those odd basis positions (used with
-    ``annihilator_prefilter``).
+    ``annihilator_prefilter``).  ``zero_unknowns`` leaves those unknowns out
+    of the system (used with ``weight_prefilter``); unknowns it names that
+    the system does not have are ignored.
+
+    Rows come in lexicographic triple order, components ascending within a
+    triple, and each row restricted to the unknowns kept.  Only triples
+    that read a pair of odd positions carrying a kept unknown are visited;
+    the others would give empty rows.
     """
     _check_preconditions(even, mod)
     ne, nm = even.dim, mod.module_dim
@@ -193,25 +210,54 @@ def generate_constraints(even: SuperAlgebra, mod: BimoduleSpec,
     if any(not 0 <= z < nm for z in zero):
         raise ValueError("zero_odd_indices out of module range")
 
-    if symmetric:
-        pairs = [(i, j) for i in range(nm) for j in range(i, nm)
-                 if i not in zero and j not in zero]
-    else:
-        pairs = [(i, j) for i in range(nm) for j in range(nm)
-                 if i not in zero and j not in zero]
-    unknowns = tuple(UnknownId(k, i, j) for k in range(ne) for (i, j) in pairs)
+    unknowns = tuple(u for u in _full_unknowns(ne, nm, symmetric, zero)
+                     if u not in zero_unknowns)
     pos = {(u.kind, u.i, u.j): p for p, u in enumerate(unknowns)}
 
     def upos(kind: int, i: int, j: int) -> int | None:
-        if i in zero or j in zero:
-            return None
         if symmetric and i > j:
             i, j = j, i
-        return pos[(kind, i, j)]
+        return pos.get((kind, i, j))
 
     rcol, lcol = _action_columns(mod)
     # ebr[x][y] = the even product [e_x, e_y] as a sparse vector
     ebr = [[even.bracket_indices(x, y) for y in range(ne)] for x in range(ne)]
+    # touch[i] = odd positions j such that the pair {i, j} keeps an unknown
+    touch: list[set[int]] = [set() for _ in range(nm)]
+    for u in unknowns:
+        touch[u.i].add(u.j)
+        touch[u.j].add(u.i)
+    # lpre[a][m] = odd positions x such that [e_a, x] has an x_m component
+    lpre: list[list[set[int]]] = [[set() for _ in range(nm)]
+                                  for _ in range(ne)]
+    for a in range(ne):
+        for x in range(nm):
+            for m in lcol[a][x]:
+                lpre[a][m].add(x)
+
+    def thirds(t0: int, t1: int) -> list[int]:
+        """Third members, ascending, of the triples (t0, t1, t2) whose rows
+        can involve a kept unknown.  The branches below read, in odd
+        positions, the pairs listed per case; L and R are the supports of
+        the left and right images."""
+        if t0 < ne and t1 < ne:
+            return []
+        if t0 < ne or t1 < ne:
+            # (a,u,v): {u,v}, {L_a u, v}, {L_a v, u}
+            # (u,a,v): {u,v}, {R_a u, v}, {L_a v, u}
+            a, u = (t0, t1 - ne) if t0 < ne else (t1, t0 - ne)
+            images = lcol[a][u] if t0 < ne else rcol[a][u]
+            vs = touch[u].union(*(touch[m] for m in images),
+                                *(lpre[a][m] for m in touch[u]))
+            return [ne + v for v in sorted(vs)]
+        u, v = t0 - ne, t1 - ne
+        # (u,v,a): {u,v}, {u, R_a v}, {R_a u, v}
+        evens = [a for a in range(ne)
+                 if v in touch[u] or not touch[u].isdisjoint(rcol[a][v])
+                 or not touch[v].isdisjoint(rcol[a][u])]
+        # (u,v,w): {u,v}, {v,w}, {u,w}
+        ws = range(nm) if v in touch[u] else sorted(touch[u] | touch[v])
+        return evens + [ne + w for w in ws]
 
     labels = [even.label(i) for i in range(ne)] + list(mod.odd_labels)
     collector = _RowCollector()
@@ -238,11 +284,9 @@ def generate_constraints(even: SuperAlgebra, mod: BimoduleSpec,
 
     for t0 in range(dim):
         for t1 in range(dim):
-            for t2 in range(dim):
+            for t2 in thirds(t0, t1):
                 odd0, odd1, odd2 = t0 >= ne, t1 >= ne, t2 >= ne
                 nodd = odd0 + odd1 + odd2
-                if nodd < 2:
-                    continue
                 triple = (labels[t0], labels[t1], labels[t2])
                 acc: dict[int, dict[int, Fraction]] = {}
                 if nodd == 3:
@@ -354,9 +398,74 @@ def annihilator_prefilter(even: SuperAlgebra, mod: BimoduleSpec
                      if rs.contains({m: Fraction(1)}))
 
 
-def _full_unknowns(ne: int, nm: int) -> tuple[UnknownId, ...]:
-    return tuple(UnknownId(k, i, j) for k in range(ne)
-                 for i in range(nm) for j in range(i, nm))
+def weight_prefilter(even: SuperAlgebra, mod: BimoduleSpec
+                     ) -> frozenset[UnknownId]:
+    """Symmetric unknowns forced to vanish by the weights of an even basis
+    vector that acts diagonally.
+
+    When the right action of even basis vector e_a is diagonal on the module,
+    [x_m, e_a] = l_m x_m, and on the even part, [e_k, e_a] = u_k e_k, the
+    superidentity on the triple (x_i, x_j, e_a) has the single-term component
+    (l_i + l_j - u_k) U_k(i,j) = 0.  Every unknown U_k(i,j) with
+    l_i + l_j != u_k therefore vanishes in every solution.  Over sl2 the
+    vector h qualifies on every catalog module (its weight decomposition);
+    on a module where no even basis vector acts diagonally the set is empty.
+    The unknowns are keyed by unordered pairs, for the symmetric regime.
+    """
+    ne, nm = even.dim, mod.module_dim
+    rcol, _ = _action_columns(mod)
+    zeroed: set[UnknownId] = set()
+    for a in range(ne):
+        lam = _diagonal([rcol[a][m] for m in range(nm)])
+        mu = _diagonal([even.bracket_indices(k, a) for k in range(ne)])
+        if lam is None or mu is None:
+            continue
+        zeroed.update(u for u in _full_unknowns(ne, nm)
+                      if lam[u.i] + lam[u.j] != mu[u.kind])
+    return frozenset(zeroed)
+
+
+def _diagonal(columns: list[Vec]) -> list[Fraction] | None:
+    """Diagonal of a map given by its sparse columns, or None when the map
+    is not diagonal."""
+    if any(col.keys() - {m} for m, col in enumerate(columns)):
+        return None
+    return [col.get(m, Fraction(0)) for m, col in enumerate(columns)]
+
+
+def _embed_solution(sol: SolutionSpace, unknowns: tuple[UnknownId, ...]
+                    ) -> SolutionSpace:
+    """The solution of a system that left out some of ``unknowns``, written
+    in the coordinates of the system over all of them.
+
+    Valid when the unit row of every left-out unknown lies in the row space
+    of the larger system, as for ``weight_prefilter``.  Then its reduced
+    echelon form is those unit rows plus the solved one: left-out unknowns
+    are pivots with coordinate 0 in every kernel vector, and the rank grows
+    by their number.
+    """
+    index = {u: p for p, u in enumerate(unknowns)}
+    kept = [index[u] for u in sol.unknowns]
+    vectors = []
+    for vec in sol.vectors:
+        out = [Fraction(0)] * len(unknowns)
+        for p, val in zip(kept, vec):
+            out[p] = val
+        vectors.append(tuple(out))
+    left_out = set(range(len(unknowns))).difference(kept)
+    pivots = sorted(left_out.union(kept[p] for p in sol.pivots))
+    return SolutionSpace(unknowns, tuple(vectors), sol.rank + len(left_out),
+                         tuple(pivots))
+
+
+def _full_unknowns(ne: int, nm: int, symmetric: bool = True,
+                   zero: frozenset[int] = frozenset()
+                   ) -> tuple[UnknownId, ...]:
+    """Kind-major unknowns over the odd pairs avoiding ``zero``: unordered
+    pairs when ``symmetric``, ordered pairs otherwise."""
+    kept = [m for m in range(nm) if m not in zero]
+    return tuple(UnknownId(k, i, j) for k in range(ne) for i in kept
+                 for j in kept if j >= i or not symmetric)
 
 
 def _products_from_vector(unknowns: tuple[UnknownId, ...],
@@ -422,6 +531,12 @@ def classify(even: SuperAlgebra, mod: BimoduleSpec, prefilter: bool = True,
     """Determine every odd-times-odd product table compatible with the
     superidentity over the given skeleton.
 
+    ``prefilter`` applies ``annihilator_prefilter`` and ``weight_prefilter``
+    before generating; ``system`` is then the smaller system actually
+    solved.  ``solution`` is always that of the system with only the
+    annihilator-flagged positions left out, bit for bit: the
+    weight-zeroed unknowns come back as pivots with coordinate 0.
+
     Returns the canonical solution space embedded in full symmetric
     coordinates, plus representative superalgebras: the zero-product table
     and, per solution-space basis vector, the table at parameter 1.  Every
@@ -431,15 +546,18 @@ def classify(even: SuperAlgebra, mod: BimoduleSpec, prefilter: bool = True,
 
     ``strict`` treats the two orders of each odd pair as independent
     unknowns and verifies that the solver forces their equality (the
-    prefilter is skipped in that mode because its soundness argument uses
-    the unordered keying).
+    prefilters are skipped in that mode because they name unordered
+    unknowns).
     """
-    filtered = (annihilator_prefilter(even, mod)
-                if prefilter and not strict else frozenset())
+    filters = prefilter and not strict
+    filtered = annihilator_prefilter(even, mod) if filters else frozenset()
+    zeroed = weight_prefilter(even, mod) if filters else frozenset()
     system = generate_constraints(even, mod, symmetric=not strict,
-                                  zero_odd_indices=filtered)
-    sol = solve(system)
+                                  zero_odd_indices=filtered,
+                                  zero_unknowns=zeroed)
     ne, nm = even.dim, mod.module_dim
+    sol = _embed_solution(solve(system),
+                          _full_unknowns(ne, nm, not strict, filtered))
     full = _full_unknowns(ne, nm)
     fpos = {(u.kind, u.i, u.j): p for p, u in enumerate(full)}
 

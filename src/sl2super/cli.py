@@ -113,6 +113,7 @@ def cmd_verify(args) -> int:
         _emit_json({
             "id": args.id,
             "ok": report.ok,
+            "total": len(report),
             "violations": [
                 {"identity": v.identity, "labels": list(v.labels),
                  "residual": {k: str(c) for k, c in v.residual.items()}}

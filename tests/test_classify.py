@@ -1,12 +1,13 @@
 """Constraint generation, solving, and the classification pipeline."""
 
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sl2super.algebra import check_leibniz_super
+from sl2super.algebra import BimoduleSpec, SuperAlgebra, check_leibniz_super
 from sl2super.catalog import (
     OddBracketTable,
     assemble,
@@ -16,6 +17,7 @@ from sl2super.catalog import (
     bimodule_m4,
     module_n1,
     module_n2,
+    resolve,
     sl2,
     superalgebra_s1,
     superalgebra_s2,
@@ -32,8 +34,10 @@ from sl2super.classify import (
     solve,
     symmetric_ladder_hand_system,
     verify_rescaling_isomorphism,
+    weight_prefilter,
 )
-from sl2super.linalg import RowSpace
+from sl2super.cli import main
+from sl2super.linalg import Matrix, RowSpace
 
 
 def named(space, vec):
@@ -313,6 +317,166 @@ def test_classify_records_the_filter():
     cl = classify(sl2(), bimodule_m1(2))
     assert cl.filtered == block_range(3, 1)
     assert cl.dimension == 0
+
+
+# ---------------------------------------------------------------------------
+# weight prefilter: the reduced system against the full one
+# ---------------------------------------------------------------------------
+
+
+def zero_action_module(dim):
+    zero = Matrix.zeros(dim, dim)
+    return BimoduleSpec(sl2(), tuple(f"m_{i}" for i in range(dim)),
+                        (zero,) * 3, (zero,) * 3)
+
+
+def module_from_json(text):
+    """The bimodule read back from an assembled superalgebra's JSON."""
+    alg = SuperAlgebra.from_json(text)
+    ne, nm = 3, alg.dim - 3
+    actions = []
+    for pair in (lambda a, m: (m, a), lambda a, m: (a, m)):
+        actions.append(tuple(
+            Matrix.from_entries(nm, nm, {
+                (r - ne, m): c
+                for m in range(nm)
+                for r, c in alg.bracket_indices(*pair(a, ne + m)).items()})
+            for a in range(ne)))
+    labels = tuple(alg.label(ne + m) for m in range(nm))
+    return BimoduleSpec(sl2(), labels, actions[0], actions[1])
+
+
+def conjugated_n1_2():
+    """module_n1(2) in the basis x_0, x_0 + x_1, x_1 + x_2, through JSON:
+    no even basis vector acts diagonally on it."""
+    mod = module_n1(2)
+    p = Matrix([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+    p_inv = Matrix([[1, -1, 1], [0, 1, -1], [0, 0, 1]])
+
+    def conj(m):
+        return Matrix([[sum(p_inv.entry(i, r) * m.entry(r, s) * p.entry(s, j)
+                            for r in range(3) for s in range(3))
+                        for j in range(3)] for i in range(3)])
+
+    spec = BimoduleSpec(sl2(), mod.odd_labels,
+                        tuple(conj(m) for m in mod.right),
+                        tuple(conj(m) for m in mod.left))
+    return module_from_json(assemble(sl2(), spec).to_json())
+
+
+def restricted_rows(system, unknowns):
+    """The rows of ``system`` restricted to ``unknowns`` and renumbered,
+    dropping empty rows and scalar multiples of earlier rows."""
+    pos = {u: p for p, u in enumerate(unknowns)}
+    rows, seen = [], set()
+    for row in system.rows:
+        items = tuple(sorted((pos[system.unknowns[p]], v)
+                             for p, v in row.coeffs
+                             if system.unknowns[p] in pos))
+        if not items:
+            continue
+        key = tuple((p, v / items[0][1]) for p, v in items)
+        if key not in seen:
+            seen.add(key)
+            rows.append((items, row.triple, row.component))
+    return rows
+
+
+def grid_module(identifier):
+    if identifier.startswith("zero:"):
+        return zero_action_module(int(identifier[5:]))
+    if identifier == "conjugated-n1:2":
+        return conjugated_n1_2()
+    return resolve(identifier)
+
+
+DIFFERENTIAL_GRID = (
+    [f"n1:{n}" for n in range(0, 11)] + [f"n2:{n}" for n in range(0, 7)]
+    + [f"{fam}:{n}" for fam in ("m1", "m2") for n in range(2, 7)]
+    + [f"{fam}:{nk}" for fam in ("m3", "m4") for nk in ("4:2", "6:3", "8:3")]
+    + ["zero:1", "zero:2", "zero:3", "conjugated-n1:2"])
+
+
+@pytest.mark.parametrize("identifier", DIFFERENTIAL_GRID)
+def test_weight_filtered_classification_equals_the_full_system(identifier):
+    mod = grid_module(identifier)
+    cl = classify(sl2(), mod)
+    full = generate_constraints(sl2(), mod, zero_odd_indices=cl.filtered)
+    assert cl.solution == solve(full)
+    # the reduced system is the full one with the zeroed unknowns left out
+    kept = cl.system.unknowns
+    assert set(kept) == set(full.unknowns) - weight_prefilter(sl2(), mod)
+    assert [(r.coeffs, r.triple, r.component) for r in cl.system.rows] == (
+        restricted_rows(full, kept))
+
+
+@given(st.sampled_from(["n1:2", "n2:3", "m1:2", "m2:3", "m4:4:2"]),
+       st.booleans(), st.randoms(use_true_random=False))
+@settings(max_examples=30, deadline=None)
+def test_any_zeroed_set_leaves_exactly_those_unknowns_out(identifier,
+                                                          symmetric, rng):
+    # the generator's skipping of triples must not depend on weights
+    mod = resolve(identifier)
+    full = generate_constraints(sl2(), mod, symmetric=symmetric)
+    zeroed = frozenset(u for u in full.unknowns if rng.random() < 0.8)
+    cs = generate_constraints(sl2(), mod, symmetric=symmetric,
+                              zero_unknowns=zeroed)
+    assert cs.unknowns == tuple(u for u in full.unknowns if u not in zeroed)
+    assert [(r.coeffs, r.triple, r.component) for r in cs.rows] == (
+        restricted_rows(full, cs.unknowns))
+
+
+def test_weight_prefilter_edge_modules():
+    # zero actions: every module vector has weight 0, so only the
+    # h-components survive
+    zeroed = weight_prefilter(sl2(), zero_action_module(2))
+    assert {u.name for u in zeroed} == {
+        "a_0_0", "a_0_1", "a_1_1", "b_0_0", "b_0_1", "b_1_1"}
+    # no even basis vector acts diagonally: nothing is zeroed, and classify
+    # solves exactly the unfiltered system
+    mod = conjugated_n1_2()
+    assert weight_prefilter(sl2(), mod) == frozenset()
+    cl = classify(sl2(), mod)
+    assert cl.system == generate_constraints(sl2(), mod,
+                                             zero_odd_indices=cl.filtered)
+    assert generate_constraints(sl2(), mod, zero_unknowns=frozenset()) == (
+        generate_constraints(sl2(), mod))
+
+
+def test_classify_grid_json_matches_the_full_system(capsys):
+    assert main(["classify", "n1", "--grid", "2..8", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert list(data) == [f"n1:{n}" for n in range(2, 9)]
+    for n in range(2, 9):
+        sol = solve(generate_constraints(sl2(), module_n1(n)))
+        assert {k: data[f"n1:{n}"][k]
+                for k in ("unknowns", "dimension", "rank", "vectors")} == (
+            sol.to_json_dict())
+
+
+@pytest.mark.parametrize("identifier", (
+    [f"n1:{n}" for n in range(1, 7)]
+    + [f"{fam}:{n}" for fam in ("m1", "m2") for n in range(2, 5)]
+    + [f"{fam}:{nk}" for fam in ("m3", "m4") for nk in ("4:2", "6:3")]))
+def test_weight_prefilter_is_sound(identifier):
+    # every zeroed unknown is forced to zero by the full system itself
+    mod = resolve(identifier)
+    full = generate_constraints(sl2(), mod)
+    rs = RowSpace(len(full.unknowns))
+    for row in full.rows:
+        rs.add(row.as_dict())
+    pos = {u: p for p, u in enumerate(full.unknowns)}
+    zeroed = weight_prefilter(sl2(), mod)
+    assert zeroed
+    for u in zeroed:
+        assert rs.contains({pos[u]: Fraction(1)})
+
+
+def test_weight_prefilter_keeps_the_family_support():
+    zeroed = weight_prefilter(sl2(), module_n1(1))
+    kept = {u.name for u in generate_constraints(sl2(), module_n1(1)).unknowns}
+    assert kept - {u.name for u in zeroed} == {"a_0_0", "b_1_1", "c_0_1"}
+    assert len(zeroed) == 6
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,22 @@ def test_verify_json_reports_status(capsys):
     assert json.loads(out)["ok"] is True
 
 
+@pytest.mark.parametrize("identifier,total", [("m3:6:3", 74),
+                                              ("m4:6:2", 34)])
+def test_verify_json_reports_the_total_beside_the_sample(capsys, identifier,
+                                                         total):
+    code, out, _ = run(capsys, "verify", identifier, "--verbatim-tables",
+                       "--json")
+    assert code == 1
+    data = json.loads(out)
+    assert data["total"] == total
+    assert len(data["violations"]) == 10
+
+    code, out, _ = run(capsys, "verify", identifier, "--json")
+    assert code == 0
+    assert json.loads(out)["total"] == 0
+
+
 def test_verify_file_round_trip(tmp_path, capsys):
     path = tmp_path / "alg.json"
     path.write_text(superalgebra_s2().to_json())
