@@ -57,7 +57,7 @@ def _load(identifier: str, verbatim: bool):
                 return SuperAlgebra.from_json(fh.read())
         except OSError as exc:
             raise _UsageError(f"cannot read {identifier}: {exc}") from exc
-        except (ValueError, KeyError) as exc:
+        except ValueError as exc:
             raise _UsageError(
                 f"{identifier} is not a valid algebra file: {exc}") from exc
     try:

@@ -1,5 +1,6 @@
 """Structure constant tables, identity checkers, bimodule axioms."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -23,9 +24,14 @@ from sl2super.catalog import (
     E,
     F,
     H,
+    OddBracketTable,
     assemble,
     bimodule_m1,
+    bimodule_m2,
+    bimodule_m3,
+    bimodule_m4,
     module_n1,
+    module_n2,
     sl2,
     superalgebra_s1,
     superalgebra_s2,
@@ -138,6 +144,41 @@ def test_from_json_rejects_malformed_input():
         SuperAlgebra.from_json("not json at all {")
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+    | st.sampled_from(["1/0", "e", "odd", "x_0", "3/2"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["label", "parity", "left", "right",
+                                       "result", "coeff"]), inner, max_size=3),
+    max_leaves=6)
+
+
+def _json_paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _json_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for pos, value in enumerate(node):
+            yield from _json_paths(value, path + (pos,))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_from_json_dict_raises_only_value_error(data):
+    # replace one node of a valid document by an arbitrary JSON value
+    doc = superalgebra_s2().to_json_dict()
+    path = data.draw(st.sampled_from(list(_json_paths(doc))[1:]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = data.draw(JSON_VALUES)
+    try:
+        SuperAlgebra.from_json_dict(doc)
+    except ValueError:
+        pass
+
+
 # ---------------------------------------------------------------------------
 # identity checkers
 # ---------------------------------------------------------------------------
@@ -227,6 +268,105 @@ def test_forget_grading():
     assert flat.bracket_indices(3, 3) == S.bracket_indices(3, 3)
     # ungraded Leibniz fails for the graded table, as it should
     assert not check_leibniz(flat).ok
+
+
+# ---------------------------------------------------------------------------
+# the Leibniz checkers against the identity evaluated from its definition
+# ---------------------------------------------------------------------------
+
+
+def reference_leibniz(A, identity, graded):
+    """Every basis triple, each term through ``SuperAlgebra.bracket``."""
+    units = [A.basis_element(i) for i in range(A.dim)]
+    found = []
+    for x, y, z in itertools.product(range(A.dim), repeat=3):
+        bx, by, bz = units[x], units[y], units[z]
+        sign = -1 if graded and A.parity(y) and A.parity(z) else 1
+        residual = (A.bracket(bx, A.bracket(by, bz))
+                    - A.bracket(A.bracket(bx, by), bz)
+                    + A.bracket(A.bracket(bx, bz), by).scaled(sign))
+        if not residual.is_zero():
+            found.append((identity, (A.label(x), A.label(y), A.label(z)),
+                          [(A.label(k), residual.coeffs[k])
+                           for k in residual.support()]))
+    return found
+
+
+def reported(report):
+    return [(v.identity, v.labels, list(v.residual.items())) for v in report]
+
+
+def assert_checkers_match_reference(A):
+    assert reported(check_leibniz_super(A)) == reference_leibniz(
+        A, "leibniz-super", graded=True)
+    flat = A.forget_grading()
+    assert reported(check_leibniz(flat)) == reference_leibniz(
+        flat, "leibniz", graded=False)
+
+
+def family_member(c, h_scale=1):
+    # the n1:1 family line is h_scale == 1; any other h coefficient breaks it
+    c = Fraction(c)
+    table = OddBracketTable.build({
+        (0, 0): {E: 2 * c}, (1, 1): {F: 2 * c}, (0, 1): {H: h_scale * c}})
+    return assemble(sl2(), module_n1(1), table)
+
+
+DIFFERENTIAL_CASES = (
+    [(f"n1:{n}", lambda n=n: assemble(sl2(), module_n1(n))) for n in range(13)]
+    + [(f"n2:{n}", lambda n=n: assemble(sl2(), module_n2(n))) for n in range(9)]
+    + [(f"{name}:{n}", lambda b=builder, n=n: assemble(sl2(), b(n)))
+       for name, builder in (("m1", bimodule_m1), ("m2", bimodule_m2))
+       for n in range(2, 9)]
+    + [(f"{name}:{n}:{k}{':verbatim' if verbatim else ''}",
+        lambda b=builder, n=n, k=k, v=verbatim:
+            assemble(sl2(), b(n, k, verbatim=v)))
+       for name, builder in (("m3", bimodule_m3), ("m4", bimodule_m4))
+       for n, k in ((4, 2), (6, 3), (8, 3), (10, 4))
+       for verbatim in (False, True)]
+    + [("s1", superalgebra_s1), ("s2", superalgebra_s2)]
+    + [(f"n1:1-member:{c}:h*{h_scale}",
+        lambda c=c, h_scale=h_scale: family_member(c, h_scale))
+       for c in (1, 4, -1, "1/4") for h_scale in (1, 2)]
+)
+
+
+@pytest.mark.parametrize("build", [b for _, b in DIFFERENTIAL_CASES],
+                         ids=[name for name, _ in DIFFERENTIAL_CASES])
+def test_leibniz_checkers_match_the_reference(build):
+    assert_checkers_match_reference(build())
+
+
+def test_differential_cases_include_violations():
+    # the grid must exercise reported residuals, not only empty reports
+    assert len(check_leibniz_super(family_member(4, h_scale=2))) > 0
+    assert len(check_leibniz_super(
+        assemble(sl2(), bimodule_m3(6, 3, verbatim=True)))) > 0
+    assert len(check_leibniz(superalgebra_s2().forget_grading())) > 0
+
+
+@st.composite
+def graded_tables(draw):
+    """Random tables of dim <= 5 with random parities and sparse rational
+    constants that respect the grading; most violate the identity."""
+    dim = draw(st.integers(1, 5))
+    odd = draw(st.lists(st.booleans(), min_size=dim, max_size=dim))
+    basis = [BasisVector(i, f"b{i}", Parity.ODD if o else Parity.EVEN)
+             for i, o in enumerate(odd)]
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    table = {}
+    for i, j in itertools.product(range(dim), repeat=2):
+        targets = [k for k in range(dim) if odd[k] == (odd[i] != odd[j])]
+        if targets and draw(st.integers(0, 2)) == 0:
+            ks = draw(st.lists(st.sampled_from(targets), max_size=2, unique=True))
+            table[(i, j)] = {k: draw(coeff) for k in ks}
+    return SuperAlgebra(basis, table)
+
+
+@given(graded_tables())
+@settings(max_examples=150, deadline=None)
+def test_leibniz_checkers_match_the_reference_on_random_tables(A):
+    assert_checkers_match_reference(A)
 
 
 # ---------------------------------------------------------------------------

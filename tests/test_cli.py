@@ -122,6 +122,29 @@ def test_verify_rejects_broken_file(tmp_path, capsys):
     assert "error:" in err
 
 
+def _s2_json_with(edit):
+    data = superalgebra_s2().to_json_dict()
+    edit(data)
+    return data
+
+
+@pytest.mark.parametrize("data", [
+    {"basis": 5},
+    _s2_json_with(lambda d: d.update(brackets=3)),
+    _s2_json_with(lambda d: d["brackets"][0]["result"][0].update(coeff="1/0")),
+    _s2_json_with(lambda d: d["basis"].__setitem__(0, "e")),
+    _s2_json_with(lambda d: d["brackets"][0]["result"][0].pop("label")),
+], ids=["basis-not-a-list", "brackets-not-a-list", "zero-denominator",
+        "basis-entry-not-an-object", "result-term-without-label"])
+def test_verify_malformed_file_is_a_usage_error(tmp_path, capsys, data):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_verify_rejects_unknown_id(capsys):
     code, out, err = run(capsys, "verify", "q5:3")
     assert code == 2
