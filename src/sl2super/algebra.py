@@ -20,6 +20,7 @@ identity holds exactly.  All arithmetic is exact rational.
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -30,6 +31,8 @@ from .linalg import Matrix, RowSpace, format_scalar, parse_scalar
 _ZERO = Fraction(0)
 
 Vec = dict[int, Fraction]  # sparse coordinate vector over a basis
+
+_EXACT_SCALAR = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 class Parity(IntEnum):
@@ -365,12 +368,7 @@ class SuperAlgebra:
                                    f"'result' of {where}"):
                 k = position(_json_field(term, "label", f"a term of {where}"))
                 coeff = _json_field(term, "coeff", f"a term of {where}")
-                try:
-                    value = Fraction(str(coeff))
-                except ZeroDivisionError:
-                    raise ValueError(
-                        f"coefficient {coeff!r} has a zero denominator") from None
-                vec[k] = vec.get(k, _ZERO) + value
+                vec[k] = vec.get(k, _ZERO) + _json_coefficient(coeff)
             if (i, j) in table:
                 raise ValueError(f"duplicate bracket entry for ({br['left']},{br['right']})")
             table[(i, j)] = vec
@@ -385,6 +383,19 @@ def _json_list(value, what: str) -> list:
     if not isinstance(value, list):
         raise ValueError(f"{what} must be a list, got {type(value).__name__}")
     return value
+
+
+def _json_coefficient(coeff) -> Fraction:
+    """An exact coefficient spelled as a string "p" or "p/q", with an
+    optional leading minus sign and q nonzero."""
+    if not isinstance(coeff, str) or not _EXACT_SCALAR.fullmatch(coeff):
+        raise ValueError(
+            f"coefficient {coeff!r} is not an exact string 'p' or 'p/q'")
+    try:
+        return Fraction(coeff)
+    except ZeroDivisionError:
+        raise ValueError(
+            f"coefficient {coeff!r} has a zero denominator") from None
 
 
 def _json_field(obj, key: str, where: str):

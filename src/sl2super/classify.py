@@ -25,6 +25,11 @@ modules that leaves a few percent of the unknowns, and the generator visits
 only the triples that can touch one of them.  ``classify`` writes the
 solution of the reduced system back in full coordinates, where it equals
 the solution of the unreduced system exactly.
+
+The generator indexes the kept unknowns once by odd pair.  Each identity
+term of a triple reads one odd pair, so the generator takes the kept
+unknowns of that pair from the index and composes only those with the
+known actions; a term whose pair keeps no unknown costs one lookup.
 """
 
 from __future__ import annotations
@@ -146,12 +151,16 @@ class _RowCollector:
 
     def add(self, coeffs: dict[int, Fraction],
             triple: tuple[str, str, str], component: str) -> None:
-        items = tuple(sorted((p, Fraction(v)) for p, v in coeffs.items()
-                             if v != 0))
+        items = tuple(sorted(
+            (p, v if isinstance(v, Fraction) else Fraction(v))
+            for p, v in coeffs.items() if v != 0))
         if not items:
             return
-        lead = items[0][1]
-        key = tuple((p, v / lead) for p, v in items)
+        if len(items) == 1:
+            key: tuple = ((items[0][0], 1),)
+        else:
+            lead = items[0][1]
+            key = tuple((p, v / lead) for p, v in items)
         if key in self._seen:
             return
         self._seen.add(key)
@@ -173,13 +182,18 @@ def _action_columns(mod: BimoduleSpec):
     """Sparse column views of the module actions: rcol[a][m] is the image of
     module vector m under the right action of even generator a."""
     nm = mod.module_dim
-    ne = len(mod.right)
-    rcol = [[{r: mat.entry(r, m) for r in range(nm) if mat.entry(r, m) != 0}
-             for m in range(nm)] for mat in mod.right]
-    lcol = [[{r: mat.entry(r, m) for r in range(nm) if mat.entry(r, m) != 0}
-             for m in range(nm)] for mat in mod.left]
-    assert ne == len(mod.left)
-    return rcol, lcol
+    assert len(mod.right) == len(mod.left)
+
+    def columns(mat: Matrix) -> list[Vec]:
+        cols: list[Vec] = [{} for _ in range(nm)]
+        for r, row in enumerate(mat.rows()):
+            for m, v in enumerate(row):
+                if v != 0:
+                    cols[m][r] = v
+        return cols
+
+    return ([columns(mat) for mat in mod.right],
+            [columns(mat) for mat in mod.left])
 
 
 def generate_constraints(even: SuperAlgebra, mod: BimoduleSpec,
@@ -187,7 +201,7 @@ def generate_constraints(even: SuperAlgebra, mod: BimoduleSpec,
                          zero_odd_indices: frozenset[int] = frozenset(),
                          zero_unknowns: frozenset[UnknownId] = frozenset()
                          ) -> ConstraintSystem:
-    """Expand the superidentity over every ordered basis triple with two or
+    """Expand the superidentity over the ordered basis triples with two or
     three odd members into linear rows over the unknown odd products.
 
     ``symmetric`` trusts that the product of two odd elements does not
@@ -202,7 +216,10 @@ def generate_constraints(even: SuperAlgebra, mod: BimoduleSpec,
     Rows come in lexicographic triple order, components ascending within a
     triple, and each row restricted to the unknowns kept.  Only triples
     that read a pair of odd positions carrying a kept unknown are visited;
-    the others would give empty rows.
+    the others would give empty rows.  Within a triple, each term starts
+    from the pair index ``kinds[(i, j)]``, the kind and position of every
+    kept unknown U_kind(i, j) (both orders of a pair share one entry when
+    ``symmetric``), so only kept unknowns are ever composed with an action.
     """
     _check_preconditions(even, mod)
     ne, nm = even.dim, mod.module_dim
@@ -212,21 +229,23 @@ def generate_constraints(even: SuperAlgebra, mod: BimoduleSpec,
 
     unknowns = tuple(u for u in _full_unknowns(ne, nm, symmetric, zero)
                      if u not in zero_unknowns)
-    pos = {(u.kind, u.i, u.j): p for p, u in enumerate(unknowns)}
-
-    def upos(kind: int, i: int, j: int) -> int | None:
-        if symmetric and i > j:
-            i, j = j, i
-        return pos.get((kind, i, j))
+    # kinds[(i, j)] = (kind, position) of every kept unknown U_kind(i, j);
+    # with ``symmetric`` the two orders of a pair share one list
+    kinds: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for p, u in enumerate(unknowns):
+        kinds.setdefault((u.i, u.j), []).append((u.kind, p))
+    if symmetric:
+        for (i, j), ks in list(kinds.items()):
+            kinds[(j, i)] = ks
 
     rcol, lcol = _action_columns(mod)
     # ebr[x][y] = the even product [e_x, e_y] as a sparse vector
     ebr = [[even.bracket_indices(x, y) for y in range(ne)] for x in range(ne)]
     # touch[i] = odd positions j such that the pair {i, j} keeps an unknown
     touch: list[set[int]] = [set() for _ in range(nm)]
-    for u in unknowns:
-        touch[u.i].add(u.j)
-        touch[u.j].add(u.i)
+    for i, j in kinds:
+        touch[i].add(j)
+        touch[j].add(i)
     # lpre[a][m] = odd positions x such that [e_a, x] has an x_m component
     lpre: list[list[set[int]]] = [[set() for _ in range(nm)]
                                   for _ in range(ne)]
@@ -260,85 +279,69 @@ def generate_constraints(even: SuperAlgebra, mod: BimoduleSpec,
         return evens + [ne + w for w in ws]
 
     labels = [even.label(i) for i in range(ne)] + list(mod.odd_labels)
+    even_labels = labels[:ne]
+    odd_labels = labels[ne:]
     collector = _RowCollector()
-    dim = ne + nm
 
-    def emit(acc: dict[int, dict[int, Fraction]],
-             triple: tuple[str, str, str], comp_labels) -> None:
+    def emit(triple: tuple[str, str, str], comp_labels: list[str],
+             terms: list[tuple[int, int, Fraction]]) -> None:
+        """Sum the (component, position, coefficient) terms of one triple
+        and emit one row per component, components ascending."""
+        acc: dict[int, dict[int, Fraction]] = {}
+        for comp, p, cf in terms:
+            row = acc.get(comp)
+            if row is None:
+                acc[comp] = {p: cf}
+            else:
+                row[p] = row.get(p, 0) + cf
         for comp in sorted(acc):
             collector.add(acc[comp], triple, comp_labels[comp])
 
-    def put(acc, comp, kind, i, j, coeff):
-        p = upos(kind, i, j)
-        if p is None or coeff == 0:
-            return
-        d = acc.setdefault(comp, {})
-        cur = d.get(p, 0) + coeff
-        if cur == 0:
-            d.pop(p, None)
-        else:
-            d[p] = cur
-
-    even_labels = labels[:ne]
-    odd_labels = list(mod.odd_labels)
-
+    dim = ne + nm
     for t0 in range(dim):
         for t1 in range(dim):
             for t2 in thirds(t0, t1):
-                odd0, odd1, odd2 = t0 >= ne, t1 >= ne, t2 >= ne
-                nodd = odd0 + odd1 + odd2
                 triple = (labels[t0], labels[t1], labels[t2])
-                acc: dict[int, dict[int, Fraction]] = {}
-                if nodd == 3:
+                if t0 >= ne and t1 >= ne and t2 >= ne:
                     u, v, w = t0 - ne, t1 - ne, t2 - ne
                     # residual = [u,[v,w]] - [[u,v],w] - [[u,w],v], odd vector
-                    for k in range(ne):
-                        for r, cf in rcol[k][u].items():
-                            put(acc, r, k, v, w, cf)
-                        for r, cf in lcol[k][w].items():
-                            put(acc, r, k, u, v, -cf)
-                        for r, cf in lcol[k][v].items():
-                            put(acc, r, k, u, w, -cf)
-                    emit(acc, triple, odd_labels)
-                elif not odd0:
+                    terms = [(r, p, cf) for k, p in kinds.get((v, w), ())
+                             for r, cf in rcol[k][u].items()]
+                    terms += [(r, p, -cf) for k, p in kinds.get((u, v), ())
+                              for r, cf in lcol[k][w].items()]
+                    terms += [(r, p, -cf) for k, p in kinds.get((u, w), ())
+                              for r, cf in lcol[k][v].items()]
+                    emit(triple, odd_labels, terms)
+                elif t0 < ne:
                     a, u, v = t0, t1 - ne, t2 - ne
                     # residual = [a,U(u,v)] - U([a,u],v) - U([a,v],u)
-                    for k in range(ne):
-                        for t, cf in ebr[a][k].items():
-                            put(acc, t, k, u, v, cf)
-                    for m, cm in lcol[a][u].items():
-                        for t in range(ne):
-                            put(acc, t, t, m, v, -cm)
-                    for m, cm in lcol[a][v].items():
-                        for t in range(ne):
-                            put(acc, t, t, m, u, -cm)
-                    emit(acc, triple, even_labels)
-                elif not odd1:
+                    terms = [(t, p, cf) for k, p in kinds.get((u, v), ())
+                             for t, cf in ebr[a][k].items()]
+                    terms += [(t, p, -cm) for m, cm in lcol[a][u].items()
+                              for t, p in kinds.get((m, v), ())]
+                    terms += [(t, p, -cm) for m, cm in lcol[a][v].items()
+                              for t, p in kinds.get((m, u), ())]
+                    emit(triple, even_labels, terms)
+                elif t1 < ne:
                     u, a, v = t0 - ne, t1, t2 - ne
                     # residual = U(u,[a,v]) - U([u,a],v) + [U(u,v),a]
-                    for m, cm in lcol[a][v].items():
-                        for t in range(ne):
-                            put(acc, t, t, u, m, cm)
-                    for m, cm in rcol[a][u].items():
-                        for t in range(ne):
-                            put(acc, t, t, m, v, -cm)
-                    for k in range(ne):
-                        for t, cf in ebr[k][a].items():
-                            put(acc, t, k, u, v, cf)
-                    emit(acc, triple, even_labels)
+                    terms = [(t, p, cm) for m, cm in lcol[a][v].items()
+                             for t, p in kinds.get((u, m), ())]
+                    terms += [(t, p, -cm) for m, cm in rcol[a][u].items()
+                              for t, p in kinds.get((m, v), ())]
+                    terms += [(t, p, cf) for k, p in kinds.get((u, v), ())
+                              for t, cf in ebr[k][a].items()]
+                    emit(triple, even_labels, terms)
                 else:
                     u, v, a = t0 - ne, t1 - ne, t2
                     # residual = U(u,[v,a]) - [U(u,v),a] + U([u,a],v)
-                    for m, cm in rcol[a][v].items():
-                        for t in range(ne):
-                            put(acc, t, t, u, m, cm)
-                    for k in range(ne):
-                        for t, cf in ebr[k][a].items():
-                            put(acc, t, k, u, v, -cf)
-                    for m, cm in rcol[a][u].items():
-                        for t in range(ne):
-                            put(acc, t, t, m, v, cm)
-                    emit(acc, triple, even_labels)
+                    terms = [(t, p, cm) for m, cm in rcol[a][v].items()
+                             for t, p in kinds.get((u, m), ())]
+                    terms += [(t, p, -cf) for k, p in kinds.get((u, v), ())
+                              for t, cf in ebr[k][a].items()]
+                    terms += [(t, p, cm) for m, cm in rcol[a][u].items()
+                              for t, p in kinds.get((m, v), ())]
+                    emit(triple, even_labels, terms)
 
     return ConstraintSystem(unknowns, tuple(collector.rows))
 

@@ -172,6 +172,58 @@ def test_residual_matrix_agrees_with_generator():
         assert tuple(mat.nullspace()) == solve(cs).vectors
 
 
+ORACLE_GRID = (
+    [f"n1:{n}" for n in range(0, 5)] + [f"n2:{n}" for n in range(0, 4)]
+    + [f"{fam}:{n}" for fam in ("m1", "m2") for n in (2, 3)]
+    + ["m3:4:2", "m4:4:2", "zero:1", "zero:2", "zero:3", "conjugated-n1:2"])
+
+
+@pytest.mark.parametrize("identifier", ORACLE_GRID)
+def test_generated_rows_are_the_distinct_residual_rows(identifier):
+    # row by row, in order and with first provenance, the generator equals
+    # the evaluated residuals restricted to its unknowns, in every mode
+    mod = grid_module(identifier)
+    labels, mat = residual_matrix(sl2(), mod)
+    nm = mod.module_dim
+    columns = [UnknownId(k, i, j) for k in range(3) for i in range(nm)
+               for j in range(i, nm)]
+    residual_rows = [(tuple((columns[c], v) for c, v in enumerate(row) if v),
+                      triple, comp)
+                     for (triple, comp), row in zip(labels, mat.rows())]
+    for cs in (generate_constraints(sl2(), mod),
+               generate_constraints(
+                   sl2(), mod,
+                   zero_odd_indices=annihilator_prefilter(sl2(), mod)),
+               generate_constraints(
+                   sl2(), mod, zero_unknowns=weight_prefilter(sl2(), mod))):
+        assert [(r.coeffs, r.triple, r.component) for r in cs.rows] == (
+            distinct_rows(residual_rows, cs.unknowns))
+
+
+@pytest.mark.parametrize("identifier", ORACLE_GRID)
+def test_ordered_rows_are_the_distinct_residual_rows(identifier):
+    # symmetric=False: one column per ordered unknown, evaluated by the
+    # checker on a table whose only odd product is [x_i, x_j] = e_kind
+    mod = grid_module(identifier)
+    cs = generate_constraints(sl2(), mod, symmetric=False)
+    base = assemble(sl2(), mod).to_json_dict()
+    index = {b["label"]: p for p, b in enumerate(base["basis"])}
+    entries = {}
+    for u in cs.unknowns:
+        data = {**base, "brackets": base["brackets"] + [{
+            "left": mod.odd_labels[u.i], "right": mod.odd_labels[u.j],
+            "result": [{"coeff": "1", "label": sl2().label(u.kind)}]}]}
+        for v in check_leibniz_super(SuperAlgebra.from_json_dict(data)):
+            for comp, val in v.residual.items():
+                key = (tuple(index[lab] for lab in v.labels), index[comp])
+                entries.setdefault(key, []).append((u, val))
+    labels = {p: lab for lab, p in index.items()}
+    residual_rows = [(entries[key], tuple(labels[p] for p in key[0]),
+                      labels[key[1]]) for key in sorted(entries)]
+    assert [(r.coeffs, r.triple, r.component) for r in cs.rows] == (
+        distinct_rows(residual_rows, cs.unknowns))
+
+
 def test_residual_matrix_rejects_broken_module():
     with pytest.raises(InvalidStructure):
         residual_matrix(sl2(), bimodule_m4(4, 2, verbatim=True))
@@ -364,22 +416,30 @@ def conjugated_n1_2():
     return module_from_json(assemble(sl2(), spec).to_json())
 
 
-def restricted_rows(system, unknowns):
-    """The rows of ``system`` restricted to ``unknowns`` and renumbered,
-    dropping empty rows and scalar multiples of earlier rows."""
+def distinct_rows(rows, unknowns):
+    """``rows``, each (pairs of unknown and coefficient, triple, component),
+    restricted to ``unknowns`` and renumbered, dropping empty rows and
+    scalar multiples of earlier rows."""
     pos = {u: p for p, u in enumerate(unknowns)}
-    rows, seen = [], set()
-    for row in system.rows:
-        items = tuple(sorted((pos[system.unknowns[p]], v)
-                             for p, v in row.coeffs
-                             if system.unknowns[p] in pos))
+    out, seen = [], set()
+    for terms, triple, component in rows:
+        items = tuple(sorted((pos[u], v) for u, v in terms
+                             if u in pos and v != 0))
         if not items:
             continue
         key = tuple((p, v / items[0][1]) for p, v in items)
         if key not in seen:
             seen.add(key)
-            rows.append((items, row.triple, row.component))
-    return rows
+            out.append((items, triple, component))
+    return out
+
+
+def restricted_rows(system, unknowns):
+    """The rows of ``system`` restricted to ``unknowns`` and renumbered,
+    dropping empty rows and scalar multiples of earlier rows."""
+    return distinct_rows(
+        ((((system.unknowns[p], v) for p, v in row.coeffs), row.triple,
+          row.component) for row in system.rows), unknowns)
 
 
 def grid_module(identifier):

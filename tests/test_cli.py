@@ -134,8 +134,14 @@ def _s2_json_with(edit):
     _s2_json_with(lambda d: d["brackets"][0]["result"][0].update(coeff="1/0")),
     _s2_json_with(lambda d: d["basis"].__setitem__(0, "e")),
     _s2_json_with(lambda d: d["brackets"][0]["result"][0].pop("label")),
+    *(_s2_json_with(lambda d, c=coeff: d["brackets"][0]["result"][0].update(
+        coeff=c)) for coeff in ("1.5", "1e400", 1.5, 2, "+1", " 1", "1/-2",
+                                "1_000", "")),
 ], ids=["basis-not-a-list", "brackets-not-a-list", "zero-denominator",
-        "basis-entry-not-an-object", "result-term-without-label"])
+        "basis-entry-not-an-object", "result-term-without-label",
+        "decimal-string", "exponent-string", "json-float", "json-integer",
+        "plus-sign", "leading-space", "negative-denominator", "underscore",
+        "empty-string"])
 def test_verify_malformed_file_is_a_usage_error(tmp_path, capsys, data):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(data))
