@@ -22,9 +22,10 @@ from __future__ import annotations
 import json
 import re
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
+from functools import cached_property
 
 from .linalg import Matrix, RowSpace, format_scalar, parse_scalar
 
@@ -535,6 +536,11 @@ class BimoduleSpec:
         [m,[x,y]] = [[m,x],y] - [[m,y],x]
         [x,[m,y]] = [[x,m],y] - [[x,y],m]
         [x,[y,m]] = [[x,y],m] - [[x,m],y]
+
+    A spec is immutable (frozen fields, immutable ``Matrix`` actions, an
+    even algebra whose table is private), so what is derived from it is
+    computed on first use and kept on the instance: the axiom report that
+    ``check_bimodule_axioms`` returns and ``action_columns``.
     """
 
     even: SuperAlgebra
@@ -558,6 +564,20 @@ class BimoduleSpec:
     def module_dim(self) -> int:
         return len(self.odd_labels)
 
+    @cached_property
+    def action_columns(self) -> tuple[tuple[tuple[Vec, ...], ...],
+                                      tuple[tuple[Vec, ...], ...]]:
+        """Sparse column views ``(rcol, lcol)`` of the actions: ``rcol[a][m]``
+        is the image of module vector m under the right action of b_a, and
+        ``lcol[a][m]`` under its left action.  Built once per spec and
+        shared by every caller, so it must be read, never changed."""
+        return (tuple(_sparse_columns(mat) for mat in self.right),
+                tuple(_sparse_columns(mat) for mat in self.left))
+
+    @cached_property
+    def _axiom_report(self) -> ViolationReport:
+        return _bimodule_axiom_report(self)
+
     def act_right(self, k: int, vec: Vec) -> Vec:
         return self.right[k].apply_sparse(vec)
 
@@ -572,12 +592,28 @@ class BimoduleSpec:
         return out
 
 
+def _sparse_columns(mat: Matrix) -> tuple[Vec, ...]:
+    cols: tuple[Vec, ...] = tuple({} for _ in range(mat.ncols))
+    for r, row in enumerate(mat.rows()):
+        for m, v in enumerate(row):
+            if v != 0:
+                cols[m][r] = v
+    return cols
+
+
 def check_bimodule_axioms(spec: BimoduleSpec) -> ViolationReport:
     """Exhaustively verify the three bimodule identities on basis triples.
 
-    Raises ValueError when the acting algebra is not a Leibniz algebra,
-    since the axioms only make sense over one.
+    The identities are evaluated once per spec object; later calls return
+    the same report.  Raises ValueError, on every call, when the acting
+    algebra is not a Leibniz algebra, since the axioms only make sense over
+    one.
     """
+    return spec._axiom_report
+
+
+def _bimodule_axiom_report(spec: BimoduleSpec) -> ViolationReport:
+    """The uncached evaluation behind ``check_bimodule_axioms``."""
     even_report = check_leibniz(spec.even)
     if not even_report.ok:
         raise ValueError("acting algebra is not a Leibniz algebra:\n"

@@ -17,9 +17,12 @@ The source tables for the multi-summand families circulate with transcription
 slips (index and coefficient typos).  The default constructors apply the
 minimal repairs recorded in ``ERRATA``; every repaired table is validated
 against ``check_bimodule_axioms`` at construction time and the constructor
-raises if validation fails.  Passing ``verbatim=True`` builds the table with
-the slips kept as printed (skipping validation) so the failure can be
-audited; ``verify`` then reports the exact broken triples.
+raises if validation fails.  The report is kept on the spec, so a later
+check of the same object (``classify``'s preconditions, ``verify``) reuses
+it instead of evaluating the axioms again.  Passing ``verbatim=True``
+builds the table with the slips kept as printed (skipping validation) so
+the failure can be audited; ``verify`` then reports the exact broken
+triples.
 """
 
 from __future__ import annotations

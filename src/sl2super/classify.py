@@ -9,7 +9,9 @@ becomes a homogeneous linear system in those unknowns: each identity term
 contains exactly one odd-times-odd bracket composed with known actions, so
 no unknown ever multiplies another.  Triples with at most one odd member
 hold automatically because the even part and the bimodule are validated
-beforehand.
+beforehand: the module must be built over the given even part, and its
+axiom report is evaluated once per spec, then reused (the catalog builders
+validate the same spec object, so ``classify`` does not evaluate it again).
 
 ``generate_constraints`` expands that system symbolically, ``solve`` returns
 its canonical nullspace, and ``classify`` packages the solutions as actual
@@ -26,14 +28,17 @@ only the triples that can touch one of them.  ``classify`` writes the
 solution of the reduced system back in full coordinates, where it equals
 the solution of the unreduced system exactly.
 
-The generator indexes the kept unknowns once by odd pair.  Each identity
-term of a triple reads one odd pair, so the generator takes the kept
-unknowns of that pair from the index and composes only those with the
-known actions; a term whose pair keeps no unknown costs one lookup.
+All three read the module actions through the sparse columns that the spec
+builds once (``BimoduleSpec.action_columns``).  The generator indexes the
+kept unknowns once by odd pair.  Each identity term of a triple reads one
+odd pair, so the generator takes the kept unknowns of that pair from the
+index and composes only those with the known actions; a term whose pair
+keeps no unknown costs one lookup.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -168,6 +173,9 @@ class _RowCollector:
 
 
 def _check_preconditions(even: SuperAlgebra, mod: BimoduleSpec) -> None:
+    if even != mod.even:
+        raise InvalidStructure(
+            "module was built over a different even algebra")
     rep = check_leibniz(even)
     if not rep.ok:
         raise InvalidStructure(
@@ -176,24 +184,6 @@ def _check_preconditions(even: SuperAlgebra, mod: BimoduleSpec) -> None:
     if not rep.ok:
         raise InvalidStructure(
             "module fails the bimodule axioms:\n" + rep.describe(10), rep)
-
-
-def _action_columns(mod: BimoduleSpec):
-    """Sparse column views of the module actions: rcol[a][m] is the image of
-    module vector m under the right action of even generator a."""
-    nm = mod.module_dim
-    assert len(mod.right) == len(mod.left)
-
-    def columns(mat: Matrix) -> list[Vec]:
-        cols: list[Vec] = [{} for _ in range(nm)]
-        for r, row in enumerate(mat.rows()):
-            for m, v in enumerate(row):
-                if v != 0:
-                    cols[m][r] = v
-        return cols
-
-    return ([columns(mat) for mat in mod.right],
-            [columns(mat) for mat in mod.left])
 
 
 def generate_constraints(even: SuperAlgebra, mod: BimoduleSpec,
@@ -238,7 +228,7 @@ def generate_constraints(even: SuperAlgebra, mod: BimoduleSpec,
         for (i, j), ks in list(kinds.items()):
             kinds[(j, i)] = ks
 
-    rcol, lcol = _action_columns(mod)
+    rcol, lcol = mod.action_columns
     # ebr[x][y] = the even product [e_x, e_y] as a sparse vector
     ebr = [[even.bracket_indices(x, y) for y in range(ne)] for x in range(ne)]
     # touch[i] = odd positions j such that the pair {i, j} keeps an unknown
@@ -371,7 +361,7 @@ def annihilator_prefilter(even: SuperAlgebra, mod: BimoduleSpec
     nm = mod.module_dim
     if nm == 0:
         return frozenset()
-    rcol, lcol = _action_columns(mod)
+    rcol, lcol = mod.action_columns
     ne = even.dim
     rs = RowSpace(nm)
     for a in range(ne):
@@ -416,10 +406,10 @@ def weight_prefilter(even: SuperAlgebra, mod: BimoduleSpec
     The unknowns are keyed by unordered pairs, for the symmetric regime.
     """
     ne, nm = even.dim, mod.module_dim
-    rcol, _ = _action_columns(mod)
+    rcol, _ = mod.action_columns
     zeroed: set[UnknownId] = set()
     for a in range(ne):
-        lam = _diagonal([rcol[a][m] for m in range(nm)])
+        lam = _diagonal(rcol[a])
         mu = _diagonal([even.bracket_indices(k, a) for k in range(ne)])
         if lam is None or mu is None:
             continue
@@ -428,7 +418,7 @@ def weight_prefilter(even: SuperAlgebra, mod: BimoduleSpec
     return frozenset(zeroed)
 
 
-def _diagonal(columns: list[Vec]) -> list[Fraction] | None:
+def _diagonal(columns: Sequence[Vec]) -> list[Fraction] | None:
     """Diagonal of a map given by its sparse columns, or None when the map
     is not diagonal."""
     if any(col.keys() - {m} for m, col in enumerate(columns)):

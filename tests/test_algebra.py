@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sl2super import algebra
 from sl2super.algebra import (
     BasisVector,
     BimoduleSpec,
@@ -32,10 +33,12 @@ from sl2super.catalog import (
     bimodule_m4,
     module_n1,
     module_n2,
+    resolve,
     sl2,
     superalgebra_s1,
     superalgebra_s2,
 )
+from sl2super.classify import InvalidStructure, generate_constraints
 from sl2super.linalg import Matrix
 
 ONE = Fraction(1)
@@ -390,13 +393,18 @@ def test_bimodule_axioms_hold_for_catalog_module():
     assert check_bimodule_axioms(module_n1(3)).ok
 
 
-def test_bimodule_axioms_detect_corruption():
+def corrupted_n1() -> BimoduleSpec:
+    """module_n1(1) with one right-action entry of e changed."""
     spec = module_n1(1)
     rows = [list(r) for r in spec.right[E].rows()]
     rows[0][1] = Fraction(-2)  # was -1
-    broken = BimoduleSpec(spec.even, spec.odd_labels,
-                          (Matrix(rows), spec.right[F], spec.right[H]),
-                          spec.left)
+    return BimoduleSpec(spec.even, spec.odd_labels,
+                        (Matrix(rows), spec.right[F], spec.right[H]),
+                        spec.left)
+
+
+def test_bimodule_axioms_detect_corruption():
+    broken = corrupted_n1()
     report = check_bimodule_axioms(broken)
     assert not report.ok
     assert {v.identity for v in report} <= {"bimodule-1", "bimodule-2",
@@ -411,6 +419,78 @@ def test_zero_actions_form_a_bimodule():
     z = Matrix.zeros(3, 3)
     spec = BimoduleSpec(sl2(), ("m0", "m1", "m2"), (z, z, z), (z, z, z))
     assert check_bimodule_axioms(spec).ok
+
+
+@pytest.mark.parametrize("build", [
+    corrupted_n1,
+    lambda: bimodule_m3(6, 3, verbatim=True),
+], ids=["corrupted-n1:1", "verbatim-m3:6:3"])
+def test_a_broken_spec_keeps_its_report(build):
+    spec = build()
+    first = check_bimodule_axioms(spec)
+    second = check_bimodule_axioms(spec)
+    assert not first.ok
+    assert second == first
+    assert second == check_bimodule_axioms(build())
+    for _ in range(2):
+        with pytest.raises(InvalidStructure) as exc:
+            generate_constraints(spec.even, spec)
+        assert exc.value.report == first
+
+
+@pytest.mark.parametrize("identifier,verbatim", [
+    ("n1:3", False), ("m1:4", False), ("m4:6:3", False), ("m4:6:3", True)])
+def test_equal_specs_built_separately_get_equal_reports(identifier, verbatim):
+    one, two = (resolve(identifier, verbatim=verbatim) for _ in range(2))
+    assert one == two and one is not two
+    assert check_bimodule_axioms(one) == check_bimodule_axioms(two)
+
+
+def test_axiom_report_is_evaluated_once_per_spec(monkeypatch):
+    calls = []
+    evaluate = algebra._bimodule_axiom_report
+
+    def counted(spec):
+        calls.append(spec)
+        return evaluate(spec)
+
+    monkeypatch.setattr(algebra, "_bimodule_axiom_report", counted)
+    spec = bimodule_m4(6, 3, verbatim=True)
+    for _ in range(3):
+        assert len(check_bimodule_axioms(spec)) == len(evaluate(spec))
+    assert calls == [spec]
+
+
+def test_a_non_leibniz_acting_algebra_raises_on_every_call():
+    basis = [BasisVector(i, lab, Parity.EVEN) for i, lab in enumerate("ab")]
+    # [a,b] = a, [b,a] = b: [a,[b,a]] = a but [[a,b],a] - [[a,a],b] = 0
+    even = SuperAlgebra(basis, {(0, 1): {0: ONE}, (1, 0): {1: ONE}})
+    assert not check_leibniz(even).ok
+    z = Matrix.zeros(1, 1)
+    spec = BimoduleSpec(even, ("m",), (z, z), (z, z))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not a Leibniz algebra"):
+            check_bimodule_axioms(spec)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: module_n1(3),
+    lambda: bimodule_m2(4),
+    lambda: bimodule_m3(8, 3, verbatim=True),
+    corrupted_n1,
+], ids=["n1:3", "m2:4", "verbatim-m3:8:3", "corrupted-n1:1"])
+def test_action_columns_are_the_matrix_columns(build):
+    spec = build()
+    rcol, lcol = spec.action_columns
+    assert spec.action_columns is spec.action_columns
+    for cols, mats in ((rcol, spec.right), (lcol, spec.left)):
+        assert len(cols) == len(mats) == spec.even.dim
+        for col, mat in zip(cols, mats):
+            assert len(col) == spec.module_dim
+            for m in range(spec.module_dim):
+                assert col[m] == {r: mat.entry(r, m)
+                                  for r in range(spec.module_dim)
+                                  if mat.entry(r, m) != 0}
 
 
 # ---------------------------------------------------------------------------

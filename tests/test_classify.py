@@ -1,5 +1,6 @@
 """Constraint generation, solving, and the classification pipeline."""
 
+import copy
 import json
 from fractions import Fraction
 
@@ -101,6 +102,30 @@ def test_generate_rejects_broken_module():
     with pytest.raises(InvalidStructure) as exc:
         generate_constraints(sl2(), bimodule_m3(4, 2, verbatim=True))
     assert exc.value.report is not None and not exc.value.report.ok
+
+
+@pytest.mark.parametrize("entry", [generate_constraints, classify,
+                                   residual_matrix])
+def test_module_over_another_even_algebra_is_rejected(entry):
+    # the rescaled basis 2e, f, h has the same labels but another table
+    other = sl2().rescaled([2, 1, 1])
+    assert other != sl2()
+    with pytest.raises(InvalidStructure, match="different even algebra"):
+        entry(other, module_n1(1))
+
+
+@pytest.mark.parametrize("identifier", ["n1:3", "n2:2", "m1:4", "m2:4",
+                                        "m3:8:3", "m4:6:3"])
+def test_no_consumer_changes_the_cached_columns(identifier):
+    spec = resolve(identifier)
+    cached = spec.action_columns
+    snapshot = copy.deepcopy(cached)
+    classify(sl2(), spec)
+    classify(sl2(), spec, strict=True)
+    annihilator_prefilter(sl2(), spec)
+    weight_prefilter(sl2(), spec)
+    assert spec.action_columns is cached
+    assert cached == snapshot
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,17 @@
 """Command line interface: output lines, exit codes, JSON modes."""
 
+import io
 import json
 import pathlib
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sl2super import algebra
 from sl2super.catalog import superalgebra_s2
 from sl2super.cli import main
 
@@ -293,6 +298,90 @@ def test_errata_json(capsys):
 def test_errata_unknown_family_is_empty(capsys):
     code, out, _ = run(capsys, "errata", "n1")
     assert code == 0 and out == ""
+
+
+# ---------------------------------------------------------------------------
+# one axiom evaluation per command
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [("classify", "m1:6"), ("verify", "m3:6:3")])
+def test_one_command_evaluates_the_axioms_once(monkeypatch, capsys, argv):
+    # the catalog validates the spec, and classify or verify reuse its report
+    evaluated = []
+    evaluate = algebra._bimodule_axiom_report
+
+    def counted(spec):
+        evaluated.append(spec)
+        return evaluate(spec)
+
+    monkeypatch.setattr(algebra, "_bimodule_axiom_report", counted)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(evaluated) == 1
+
+
+# ---------------------------------------------------------------------------
+# exit-code fuzz
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _param(draw) -> str:
+    # an integer in -2..8 nine times in ten, so no example builds a large
+    # module, and a non-integer otherwise
+    if draw(st.integers(0, 9)):
+        return str(draw(st.integers(-2, 8)))
+    return draw(st.sampled_from(["x", "1.5", "", "-"]))
+
+
+_PARAM = _param()
+_ARITY = {"sl2": 0, "s1": 0, "s2": 0, "n1": 1, "n2": 1, "m1": 1, "m2": 1,
+          "m3": 2, "m4": 2, "q9": 1}
+# the chain families, the only ones with as-printed tables, come up most
+_FAMILY = st.sampled_from(["m3", "m4"] * 4 + sorted(_ARITY))
+_GRID = st.lists(st.one_of(_PARAM,
+                           st.builds("{}..{}".format, _PARAM, _PARAM),
+                           st.builds("{}:{}".format, _PARAM, _PARAM)),
+                 max_size=3).map(",".join)
+
+
+@st.composite
+def catalog_id(draw) -> str:
+    name = draw(_FAMILY)
+    # the family's own number of parameters four times in five
+    arity = (_ARITY[name] if draw(st.integers(0, 4))
+             else draw(st.integers(0, 3)))
+    return ":".join([name, *draw(st.lists(_PARAM, min_size=arity,
+                                          max_size=arity))])
+
+
+@st.composite
+def cli_argv(draw) -> list[str]:
+    command = draw(st.sampled_from(["table", "verify", "annihilator",
+                                    "classify", "errata", "bogus"]))
+    argv = [command]
+    grid = command == "classify" and draw(st.booleans())
+    if draw(st.integers(0, 9)):  # the id is left out one time in ten
+        argv.append(draw(_FAMILY if grid else catalog_id()))
+    flags = ["--json", "--verbatim-tables"]
+    if command == "classify":
+        flags.append("--strict-symmetry")
+    argv += [flag for flag in flags if draw(st.booleans())]
+    if grid:
+        argv += ["--grid", draw(_GRID)]
+    return argv
+
+
+@given(cli_argv())
+@settings(max_examples=200, deadline=None)
+def test_cli_exit_codes_stay_documented(argv):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    assert code in (0, 1, 2)
 
 
 # ---------------------------------------------------------------------------
