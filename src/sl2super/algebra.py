@@ -3,15 +3,20 @@
 A (Leibniz) superalgebra is stored as a Z2-graded basis plus a sparse table
 of structure constants.  The bracket is not assumed antisymmetric or
 associative; the checkers below test which identities actually hold on
-basis triples.  The two Leibniz checkers share one kernel that visits only
-the structure constants that can compose, so it covers every triple whose
+basis triples.  Three checkers share one kernel that visits only the
+structure constants that can compose, so it covers every triple whose
 residual can be nonzero without enumerating all dim^3 of them:
 
 * ``check_leibniz``          [x,[y,z]] = [[x,y],z] - [[x,z],y]   (ungraded)
 * ``check_leibniz_super``    [x,[y,z]] = [[x,y],z] - (-1)^{|y||z|} [[x,z],y]
-* ``check_graded_antisymmetry``   [x,y] = -(-1)^{|x||y|} [y,x]
 * ``check_bimodule_axioms``  the three compatibility identities a left/right
-  action pair must satisfy over a Lie algebra (see ``BimoduleSpec``)
+  action pair must satisfy (see ``BimoduleSpec``).  M is a Leibniz bimodule
+  over L exactly when the split extension L ⋉ M with [M, M] = 0 satisfies
+  the Leibniz identity, so the axioms are that identity on the triples of
+  L ⋉ M with exactly one module member.
+
+``check_graded_antisymmetry`` ([x,y] = -(-1)^{|x||y|} [y,x]) compares basis
+pairs directly.
 
 Every check returns a ``ViolationReport``; an empty report means the
 identity holds exactly.  All arithmetic is exact rational.
@@ -21,17 +26,20 @@ from __future__ import annotations
 
 import json
 import re
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from functools import cached_property
+from types import MappingProxyType
 
 from .linalg import Matrix, RowSpace, format_scalar, parse_scalar
 
 _ZERO = Fraction(0)
 
 Vec = dict[int, Fraction]  # sparse coordinate vector over a basis
+
+_NO_PRODUCT: Mapping[int, Fraction] = MappingProxyType({})
 
 _EXACT_SCALAR = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
@@ -196,6 +204,8 @@ class SuperAlgebra:
             if entry:
                 clean[(i, j)] = entry
         self._table = clean
+        self._views = {pair: MappingProxyType(vec)
+                       for pair, vec in clean.items()}
 
     # -- introspection -------------------------------------------------
 
@@ -261,8 +271,9 @@ class SuperAlgebra:
 
     # -- the bracket -----------------------------------------------------
 
-    def bracket_indices(self, i: int, j: int) -> Vec:
-        return self._table.get((i, j), {})
+    def bracket_indices(self, i: int, j: int) -> Mapping[int, Fraction]:
+        """Read-only sparse coordinates of [b_i, b_j] (empty when zero)."""
+        return self._views.get((i, j), _NO_PRODUCT)
 
     def bracket(self, x: Element, y: Element) -> Element:
         """Bilinear extension of the structure constant table."""
@@ -412,16 +423,18 @@ def _json_field(obj, key: str, where: str):
 # ---------------------------------------------------------------------------
 
 
-def _leibniz_residuals(A: SuperAlgebra, odd: list[bool]
+def _leibniz_residuals(table: Mapping[tuple[int, int], Vec], odd: list[bool]
                        ) -> Iterator[tuple[int, int, int, Vec]]:
     """Yield ``(x, y, z, residual)`` for every basis triple with a nonzero
     residual [x,[y,z]] - [[x,y],z] + s(y,z)[[x,z],y], in lexicographic order.
 
-    ``odd[i]`` is the parity used for b_i; s(y,z) = -1 exactly when y and z
-    are both odd.  Rather than evaluating all dim^3 triples, the table is
-    indexed once by left factor (``right[i]`` = pairs (j, [b_i,b_j])) and by
-    product component (``producers[t]`` = (y, z, c) with [b_y,b_z]_t = c).
-    For each x in turn the three terms are then summed over nonzero structure
+    ``table`` maps (i, j) to the sparse coordinates of [b_i, b_j] on the
+    basis b_0 .. b_{dim-1}, dim = len(odd), and is only read.  ``odd[i]`` is
+    the parity used for b_i; s(y,z) = -1 exactly when y and z are both odd.
+    Rather than evaluating all dim^3 triples, the table is indexed once by
+    left factor (``right[i]`` = pairs (j, [b_i,b_j])) and by product
+    component (``producers[t]`` = (y, z, c) with [b_y,b_z]_t = c).  For each
+    x in turn the three terms are then summed over nonzero structure
     constants only:
 
         [x,[y,z]] = sum_t [y,z]_t [x,t]      (t with [x,t] != 0, producers[t])
@@ -432,10 +445,10 @@ def _leibniz_residuals(A: SuperAlgebra, odd: list[bool]
     three terms empty, so its residual is zero.  Only the pairs of one x are
     held at a time.  Residual keys come in no particular order.
     """
-    dim = A.dim
+    dim = len(odd)
     right: list[list[tuple[int, Vec]]] = [[] for _ in range(dim)]
     producers: list[list[tuple[int, int, Fraction]]] = [[] for _ in range(dim)]
-    for (i, j), vec in A._table.items():
+    for (i, j), vec in table.items():
         right[i].append((j, vec))
         for t, c in vec.items():
             producers[t].append((i, j, c))
@@ -472,7 +485,7 @@ def _leibniz_report(A: SuperAlgebra, identity: str,
     return ViolationReport(tuple(
         Violation(identity, (A.label(x), A.label(y), A.label(z)),
                   _labelled(A, residual))
-        for x, y, z, residual in _leibniz_residuals(A, odd)))
+        for x, y, z, residual in _leibniz_residuals(A._table, odd)))
 
 
 def check_leibniz(A: SuperAlgebra) -> ViolationReport:
@@ -526,16 +539,19 @@ def check_graded_antisymmetry(A: SuperAlgebra) -> ViolationReport:
 
 @dataclass(frozen=True)
 class BimoduleSpec:
-    """Left/right action pair of an even Lie algebra on a module.
+    """Left/right action pair of an even Leibniz algebra L on a module M.
 
     ``right[k]`` is the matrix of m -> [m, b_k] and ``left[k]`` the matrix of
     m -> [b_k, m] in the module basis ``odd_labels`` (column j holds the
     image of the j-th module vector).  The axioms checked by
     ``check_bimodule_axioms`` are, for module m and even x, y:
 
-        [m,[x,y]] = [[m,x],y] - [[m,y],x]
-        [x,[m,y]] = [[x,m],y] - [[x,y],m]
-        [x,[y,m]] = [[x,y],m] - [[x,m],y]
+        [m,[x,y]] = [[m,x],y] - [[m,y],x]      (bimodule-1)
+        [x,[m,y]] = [[x,m],y] - [[x,y],m]      (bimodule-2)
+        [x,[y,m]] = [[x,y],m] - [[x,m],y]      (bimodule-3)
+
+    which is the Leibniz identity of the split extension L ⋉ M
+    (``split_extension_table``) on the triples (m,x,y), (x,m,y), (x,y,m).
 
     A spec is immutable (frozen fields, immutable ``Matrix`` actions, an
     even algebra whose table is private), so what is derived from it is
@@ -578,18 +594,23 @@ class BimoduleSpec:
     def _axiom_report(self) -> ViolationReport:
         return _bimodule_axiom_report(self)
 
-    def act_right(self, k: int, vec: Vec) -> Vec:
-        return self.right[k].apply_sparse(vec)
-
-    def act_left(self, k: int, vec: Vec) -> Vec:
-        return self.left[k].apply_sparse(vec)
-
-    def _act_even_element(self, mats: tuple[Matrix, ...], coeffs: Vec,
-                          vec: Vec) -> Vec:
-        out: Vec = {}
-        for k, c in coeffs.items():
-            out = _vadd(out, mats[k].apply_sparse(vec), c)
-        return out
+    def split_extension_table(self) -> dict[tuple[int, int], Vec]:
+        """Structure constants of L ⋉ M with [M, M] = 0, on the basis of L
+        (indices 0 .. n-1) followed by the module vectors (n .. n+d-1): the
+        products of L, then per even x and module m the products [x, m] and
+        [m, x] read from ``action_columns``.  A fresh table on each call."""
+        ne = self.even.dim
+        rcol, lcol = self.action_columns
+        table = dict(self.even.table_items())
+        for x in range(ne):
+            for m in range(self.module_dim):
+                if lcol[x][m]:
+                    table[(x, ne + m)] = {ne + r: v
+                                          for r, v in lcol[x][m].items()}
+                if rcol[x][m]:
+                    table[(ne + m, x)] = {ne + r: v
+                                          for r, v in rcol[x][m].items()}
+        return table
 
 
 def _sparse_columns(mat: Matrix) -> tuple[Vec, ...]:
@@ -602,62 +623,45 @@ def _sparse_columns(mat: Matrix) -> tuple[Vec, ...]:
 
 
 def check_bimodule_axioms(spec: BimoduleSpec) -> ViolationReport:
-    """Exhaustively verify the three bimodule identities on basis triples.
+    """Verify the three bimodule identities on every basis triple.
 
-    The identities are evaluated once per spec object; later calls return
-    the same report.  Raises ValueError, on every call, when the acting
-    algebra is not a Leibniz algebra, since the axioms only make sense over
-    one.
+    Violations come ordered by module vector m, then even x, then even y,
+    then identity, labelled (m, x, y) for all three identities.  The
+    identities are evaluated once per spec object; later calls return the
+    same report.  Raises ValueError, on every call, when the acting algebra
+    is not a Leibniz algebra, since the axioms only make sense over one.
     """
     return spec._axiom_report
 
 
 def _bimodule_axiom_report(spec: BimoduleSpec) -> ViolationReport:
-    """The uncached evaluation behind ``check_bimodule_axioms``."""
-    even_report = check_leibniz(spec.even)
+    """The uncached evaluation behind ``check_bimodule_axioms``: the Leibniz
+    residuals of ``split_extension_table``.  Every triple of L ⋉ M with two
+    or three module members has all three terms zero, and one with none is
+    a triple of L, checked first, so each residual left is (m,x,y) for
+    bimodule-1, (x,m,y) for bimodule-2 or (x,y,m) for bimodule-3.  No sign
+    depends on parities here: it flips only when two members are odd."""
+    A = spec.even
+    even_report = check_leibniz(A)
     if not even_report.ok:
         raise ValueError("acting algebra is not a Leibniz algebra:\n"
                          + even_report.describe(limit=3))
-    A = spec.even
-    dim = spec.module_dim
-    bad = []
+    ne = A.dim
+    found = []
+    for a, b, c, residual in _leibniz_residuals(
+            spec.split_extension_table(), [False] * (ne + spec.module_dim)):
+        if a >= ne:
+            found.append(((a - ne, b, c, 1), residual))
+        elif b >= ne:
+            found.append(((b - ne, a, c, 2), residual))
+        else:
+            found.append(((c - ne, a, b, 3), residual))
+    found.sort(key=lambda item: item[0])
     labels = spec.odd_labels
-    rho = spec.right
-    lam = spec.left
-    for m in range(dim):
-        unit: Vec = {m: Fraction(1)}
-        for x in range(A.dim):
-            rx = rho[x].apply_sparse(unit)
-            lx = lam[x].apply_sparse(unit)
-            for y in range(A.dim):
-                xy = A.bracket_indices(x, y)
-                triple = (labels[m], A.label(x), A.label(y))
-                # [m,[x,y]] = [[m,x],y] - [[m,y],x]
-                res = _vadd(spec._act_even_element(rho, xy, unit),
-                            rho[y].apply_sparse(rx), Fraction(-1))
-                res = _vadd(res, rho[x].apply_sparse(rho[y].apply_sparse(unit)))
-                if res:
-                    bad.append(Violation("bimodule-1", triple,
-                                         _module_labels(spec, res)))
-                # [x,[m,y]] = [[x,m],y] - [[x,y],m]
-                res = _vadd(lam[x].apply_sparse(rho[y].apply_sparse(unit)),
-                            rho[y].apply_sparse(lx), Fraction(-1))
-                res = _vadd(res, spec._act_even_element(lam, xy, unit))
-                if res:
-                    bad.append(Violation("bimodule-2", triple,
-                                         _module_labels(spec, res)))
-                # [x,[y,m]] = [[x,y],m] - [[x,m],y]
-                res = _vadd(lam[x].apply_sparse(lam[y].apply_sparse(unit)),
-                            spec._act_even_element(lam, xy, unit), Fraction(-1))
-                res = _vadd(res, rho[y].apply_sparse(lx))
-                if res:
-                    bad.append(Violation("bimodule-3", triple,
-                                         _module_labels(spec, res)))
-    return ViolationReport(tuple(bad))
-
-
-def _module_labels(spec: BimoduleSpec, vec: Vec) -> dict[str, Fraction]:
-    return {spec.odd_labels[k]: vec[k] for k in sorted(vec)}
+    return ViolationReport(tuple(
+        Violation(f"bimodule-{n}", (labels[m], A.label(x), A.label(y)),
+                  {labels[k - ne]: residual[k] for k in sorted(residual)})
+        for (m, x, y, n), residual in found))
 
 
 # ---------------------------------------------------------------------------

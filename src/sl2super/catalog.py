@@ -478,9 +478,9 @@ class OddBracketTable:
 
 def assemble(even: SuperAlgebra, mod: BimoduleSpec,
              odd_products: OddBracketTable | None = None) -> SuperAlgebra:
-    """Superalgebra on even + odd basis: even products from ``even``, mixed
-    products from the module actions, odd products from ``odd_products``
-    (zero when omitted, extended symmetrically).
+    """Superalgebra on even + odd basis: even and mixed products from
+    ``BimoduleSpec.split_extension_table``, odd products from
+    ``odd_products`` (zero when omitted, extended symmetrically).
     """
     if mod.even != even:
         raise ValueError("module was built over a different even algebra")
@@ -491,19 +491,7 @@ def assemble(even: SuperAlgebra, mod: BimoduleSpec,
     basis = [BasisVector(i, even.label(i), Parity.EVEN) for i in range(ne)]
     basis += [BasisVector(ne + m, mod.odd_labels[m], Parity.ODD)
               for m in range(nm)]
-    table: dict[tuple[int, int], Vec] = {}
-    for (i, j), vec in even.table_items():
-        table[(i, j)] = vec
-    for x in range(ne):
-        for m in range(nm):
-            lcol = {r: mod.left[x].entry(r, m) for r in range(nm)
-                    if mod.left[x].entry(r, m) != 0}
-            if lcol:
-                table[(x, ne + m)] = {ne + r: v for r, v in lcol.items()}
-            rcol = {r: mod.right[x].entry(r, m) for r in range(nm)
-                    if mod.right[x].entry(r, m) != 0}
-            if rcol:
-                table[(ne + m, x)] = {ne + r: v for r, v in rcol.items()}
+    table = mod.split_extension_table()
     for (i, j) in odd_products.pairs():
         if not (0 <= i < nm and 0 <= j < nm):
             raise ValueError(f"odd pair ({i},{j}) out of module range")

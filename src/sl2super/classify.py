@@ -541,7 +541,11 @@ def classify(even: SuperAlgebra, mod: BimoduleSpec, prefilter: bool = True,
     unknowns and verifies that the solver forces their equality (the
     prefilters are skipped in that mode because they name unordered
     unknowns).
+
+    The preconditions are checked before either prefilter runs, so a module
+    that fails them raises ``InvalidStructure`` without further work.
     """
+    _check_preconditions(even, mod)
     filters = prefilter and not strict
     filtered = annihilator_prefilter(even, mod) if filters else frozenset()
     zeroed = weight_prefilter(even, mod) if filters else frozenset()

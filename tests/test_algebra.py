@@ -473,6 +473,17 @@ def test_a_non_leibniz_acting_algebra_raises_on_every_call():
             check_bimodule_axioms(spec)
 
 
+def test_bracket_indices_cannot_change_the_algebra():
+    spec = module_n1(2)
+    assert check_bimodule_axioms(spec).ok
+    with pytest.raises(TypeError):
+        spec.even.bracket_indices(0, 2)[0] = 5  # [e, h] = 2e
+    with pytest.raises(TypeError):
+        spec.even.bracket_indices(0, 0)[0] = 5  # [e, e] = 0
+    assert spec.even == sl2()
+    assert check_bimodule_axioms(module_n1(2)).ok
+
+
 @pytest.mark.parametrize("build", [
     lambda: module_n1(3),
     lambda: bimodule_m2(4),
@@ -491,6 +502,137 @@ def test_action_columns_are_the_matrix_columns(build):
                 assert col[m] == {r: mat.entry(r, m)
                                   for r in range(spec.module_dim)
                                   if mat.entry(r, m) != 0}
+
+
+# ---------------------------------------------------------------------------
+# the bimodule checker against the identities evaluated through the matrices
+# ---------------------------------------------------------------------------
+
+
+def reference_bimodule(spec):
+    """Every (m, x, y) and each identity in turn, each action applied as a
+    dense matrix (``Matrix.apply_sparse``)."""
+    A = spec.even
+    rho, lam = spec.right, spec.left
+
+    def act(mats, coeffs, vec):  # the action of the even element sum c_k b_k
+        out = {}
+        for k, c in coeffs.items():
+            out = algebra._vadd(out, mats[k].apply_sparse(vec), c)
+        return out
+
+    def violation(identity, triple, res):
+        return algebra.Violation(identity, triple, {
+            spec.odd_labels[k]: res[k] for k in sorted(res)})
+
+    bad = []
+    for m in range(spec.module_dim):
+        unit = {m: ONE}
+        for x in range(A.dim):
+            rx = rho[x].apply_sparse(unit)
+            lx = lam[x].apply_sparse(unit)
+            for y in range(A.dim):
+                xy = A.bracket_indices(x, y)
+                triple = (spec.odd_labels[m], A.label(x), A.label(y))
+                # [m,[x,y]] = [[m,x],y] - [[m,y],x]
+                res = algebra._vadd(act(rho, xy, unit),
+                                    rho[y].apply_sparse(rx), -ONE)
+                res = algebra._vadd(
+                    res, rho[x].apply_sparse(rho[y].apply_sparse(unit)))
+                if res:
+                    bad.append(violation("bimodule-1", triple, res))
+                # [x,[m,y]] = [[x,m],y] - [[x,y],m]
+                res = algebra._vadd(
+                    lam[x].apply_sparse(rho[y].apply_sparse(unit)),
+                    rho[y].apply_sparse(lx), -ONE)
+                res = algebra._vadd(res, act(lam, xy, unit))
+                if res:
+                    bad.append(violation("bimodule-2", triple, res))
+                # [x,[y,m]] = [[x,y],m] - [[x,m],y]
+                res = algebra._vadd(
+                    lam[x].apply_sparse(lam[y].apply_sparse(unit)),
+                    act(lam, xy, unit), -ONE)
+                res = algebra._vadd(res, rho[y].apply_sparse(lx))
+                if res:
+                    bad.append(violation("bimodule-3", triple, res))
+    return bad
+
+
+def assert_bimodule_checker_matches_reference(spec):
+    # list order and residual order both count
+    assert reported(check_bimodule_axioms(spec)) == reported(
+        reference_bimodule(spec))
+
+
+def relabelled(spec, labels):
+    return BimoduleSpec(spec.even, labels, spec.right, spec.left)
+
+
+BIMODULE_CASES = (
+    [(f"n1:{n}", lambda n=n: module_n1(n)) for n in range(13)]
+    + [(f"n2:{n}", lambda n=n: module_n2(n)) for n in range(9)]
+    + [(f"{name}:{n}", lambda b=builder, n=n: b(n))
+       for name, builder in (("m1", bimodule_m1), ("m2", bimodule_m2))
+       for n in range(2, 9)]
+    + [(f"{name}:{n}:{k}{':verbatim' if verbatim else ''}",
+        lambda b=builder, n=n, k=k, v=verbatim: b(n, k, verbatim=v))
+       for name, builder in (("m3", bimodule_m3), ("m4", bimodule_m4))
+       for n, k in ((4, 2), (6, 3), (8, 3), (10, 4))
+       for verbatim in (False, True)]
+    + [("corrupted-n1:1", corrupted_n1)]
+    + [(f"zero:{d}", lambda d=d: BimoduleSpec(
+        sl2(), tuple(f"m{i}" for i in range(d)),
+        (Matrix.zeros(d, d),) * 3, (Matrix.zeros(d, d),) * 3))
+       for d in range(4)]
+    # module labels that are also even labels: the checker never builds
+    # the split extension as a SuperAlgebra, so it must accept them
+    + [("labels-h-e:corrupted-n1:1",
+        lambda: relabelled(corrupted_n1(), ("h", "e")))]
+)
+
+
+@pytest.mark.parametrize("build", [b for _, b in BIMODULE_CASES],
+                         ids=[name for name, _ in BIMODULE_CASES])
+def test_bimodule_checker_matches_the_reference(build):
+    assert_bimodule_checker_matches_reference(build())
+
+
+def test_bimodule_cases_include_violations():
+    # the grid must exercise reported residuals, in every identity
+    found = {v.identity
+             for build in (corrupted_n1, lambda: bimodule_m3(6, 3, True))
+             for v in check_bimodule_axioms(build())}
+    assert found == {"bimodule-1", "bimodule-2", "bimodule-3"}
+
+
+def test_colliding_labels_are_checked_but_not_assembled():
+    spec = relabelled(corrupted_n1(), ("h", "e"))
+    assert {v.labels[0] for v in check_bimodule_axioms(spec)} == {"h", "e"}
+    with pytest.raises(ValueError, match="duplicate basis labels"):
+        assemble(sl2(), spec)
+
+
+@st.composite
+def sl2_actions(draw):
+    """Random sparse rational left and right sl2 actions on a module of
+    dim <= 4; most of them fail the axioms."""
+    d = draw(st.integers(1, 4))
+    entries = st.dictionaries(
+        st.tuples(st.integers(0, d - 1), st.integers(0, d - 1)),
+        st.sampled_from([Fraction(c) for c in (-2, -1, "-1/2", "1/2", 1, 2)]),
+        max_size=d + 1)
+
+    def actions():
+        return tuple(Matrix.from_entries(d, d, draw(entries)) for _ in range(3))
+
+    return BimoduleSpec(sl2(), tuple(f"m{i}" for i in range(d)),
+                        actions(), actions())
+
+
+@given(sl2_actions())
+@settings(max_examples=150, deadline=None)
+def test_bimodule_checker_matches_the_reference_on_random_actions(spec):
+    assert_bimodule_checker_matches_reference(spec)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Constraint generation, solving, and the classification pipeline."""
 
 import copy
+import importlib
 import json
 from fractions import Fraction
 
@@ -112,6 +113,26 @@ def test_module_over_another_even_algebra_is_rejected(entry):
     assert other != sl2()
     with pytest.raises(InvalidStructure, match="different even algebra"):
         entry(other, module_n1(1))
+
+
+@pytest.mark.parametrize("even,build,match", [
+    (sl2(), lambda: bimodule_m3(6, 3, verbatim=True), "bimodule axioms"),
+    (sl2().rescaled([2, 1, 1]), lambda: module_n1(2), "different even algebra"),
+], ids=["verbatim-m3:6:3", "over-rescaled-sl2"])
+def test_classify_validates_before_it_prefilters(monkeypatch, even, build,
+                                                 match):
+    module = importlib.import_module("sl2super.classify")
+    ran = []
+    for name in ("annihilator_prefilter", "weight_prefilter"):
+        def counted(*args, _name=name, _run=getattr(module, name)):
+            ran.append(_name)
+            return _run(*args)
+        monkeypatch.setattr(module, name, counted)
+    with pytest.raises(InvalidStructure, match=match):
+        classify(even, build())
+    assert ran == []
+    classify(sl2(), module_n1(2))  # the wrappers do count a valid module
+    assert ran == ["annihilator_prefilter", "weight_prefilter"]
 
 
 @pytest.mark.parametrize("identifier", ["n1:3", "n2:2", "m1:4", "m2:4",
