@@ -34,6 +34,18 @@ kept unknowns once by odd pair.  Each identity term of a triple reads one
 odd pair, so the generator takes the kept unknowns of that pair from the
 index and composes only those with the known actions; a term whose pair
 keeps no unknown costs one lookup.
+
+After the weight filter nearly every row the triples give is a unit row
+U = 0, derived again by dozens of triples, so the generator skips the
+triples that can only repeat one.  A triple of three odd members whose
+pairs keep a single unknown between them gives only multiples of that
+unknown's unit row, so it is skipped once that row is in the system.  For a
+prefix (u, v) whose ordered pair keeps exactly one unknown, every third
+member w that keeps nothing with u or v reads that unknown alone; only the
+first such w with a nonzero row is visited.  Neither skip drops a row the
+deduplication would keep, so the system is the same, row for row; when
+every pair keeps all its kinds (no weight filter, or ``strict``) neither
+fires.  Rows are deduplicated by their primitive integer vectors.
 """
 
 from __future__ import annotations
@@ -41,6 +53,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .algebra import (BimoduleSpec, SuperAlgebra, Vec, check_bimodule_axioms,
                       check_leibniz, check_leibniz_super)
@@ -148,27 +161,35 @@ class SolutionSpace:
 
 class _RowCollector:
     """Accumulates generated rows, deduplicating scalar multiples while
-    keeping the first provenance tag."""
+    keeping the first provenance tag.
+
+    A row is keyed by its primitive integer vector: the coefficients scaled
+    by the lcm of their denominators, divided by their gcd and signed so
+    that the first one is positive.  Two rows get equal keys exactly when
+    one is a scalar multiple of the other; a single-term row is keyed
+    ``((p, 1),)``, its unit row."""
 
     def __init__(self):
         self.rows: list[ConstraintRow] = []
-        self._seen: set[tuple] = set()
+        self.seen: set[tuple] = set()
 
     def add(self, coeffs: dict[int, Fraction],
             triple: tuple[str, str, str], component: str) -> None:
         items = tuple(sorted(
             (p, v if isinstance(v, Fraction) else Fraction(v))
-            for p, v in coeffs.items() if v != 0))
+            for p, v in coeffs.items() if v))
         if not items:
             return
         if len(items) == 1:
             key: tuple = ((items[0][0], 1),)
         else:
-            lead = items[0][1]
-            key = tuple((p, v / lead) for p, v in items)
-        if key in self._seen:
+            scale = lcm(*(v.denominator for _, v in items))
+            ints = [v.numerator * (scale // v.denominator) for _, v in items]
+            g = gcd(*ints) if ints[0] > 0 else -gcd(*ints)
+            key = tuple((p, n // g) for (p, _), n in zip(items, ints))
+        if key in self.seen:
             return
-        self._seen.add(key)
+        self.seen.add(key)
         self.rows.append(ConstraintRow(items, triple, component))
 
 
@@ -210,6 +231,16 @@ def generate_constraints(even: SuperAlgebra, mod: BimoduleSpec,
     from the pair index ``kinds[(i, j)]``, the kind and position of every
     kept unknown U_kind(i, j) (both orders of a pair share one entry when
     ``symmetric``), so only kept unknowns are ever composed with an action.
+
+    Two kinds of all-odd triple are not composed at all, because all they
+    could add is a repeat.  A triple whose three pairs keep one unknown p
+    between them gives rows with p alone, each a multiple of p's unit row,
+    and is skipped when that row is already kept.  For a prefix (u, v)
+    whose ordered pair keeps the one unknown U_k(u, v), a third member w
+    that keeps no unknown with u or v gives -[e_k, w] U_k(u, v): only the
+    first such w with [e_k, w] != 0 is visited, the later ones repeat its
+    unit row.  The first occurrence of every row is still visited, so rows,
+    order and provenance are those of the unskipped expansion.
     """
     _check_preconditions(even, mod)
     ne, nm = even.dim, mod.module_dim
@@ -243,6 +274,8 @@ def generate_constraints(even: SuperAlgebra, mod: BimoduleSpec,
         for x in range(nm):
             for m in lcol[a][x]:
                 lpre[a][m].add(x)
+    # lsup[k] = odd positions w, ascending, with [e_k, w] != 0
+    lsup = [[w for w in range(nm) if lcol[k][w]] for k in range(ne)]
 
     def thirds(t0: int, t1: int) -> list[int]:
         """Third members, ascending, of the triples (t0, t1, t2) whose rows
@@ -260,18 +293,31 @@ def generate_constraints(even: SuperAlgebra, mod: BimoduleSpec,
                                 *(lpre[a][m] for m in touch[u]))
             return [ne + v for v in sorted(vs)]
         u, v = t0 - ne, t1 - ne
+        if not touch[u] and not touch[v]:
+            return []
         # (u,v,a): {u,v}, {u, R_a v}, {R_a u, v}
         evens = [a for a in range(ne)
                  if v in touch[u] or not touch[u].isdisjoint(rcol[a][v])
                  or not touch[v].isdisjoint(rcol[a][u])]
-        # (u,v,w): {u,v}, {v,w}, {u,w}
-        ws = range(nm) if v in touch[u] else sorted(touch[u] | touch[v])
-        return evens + [ne + w for w in ws]
+        # (u,v,w): {u,v}, {v,w}, {u,w}; a w outside ``near`` reads only the
+        # ordered pair (u,v), through [[u,v],w]
+        near = touch[u] | touch[v]
+        ks = kinds.get((u, v), ())
+        if len(ks) == 1:
+            # every such w gives the unit row of the one unknown: keep the
+            # first w whose row is nonzero, the rest only repeat it
+            far = next((w for w in lsup[ks[0][0]] if w not in near), None)
+            if far is not None:
+                near = near | {far}
+        elif ks:
+            return evens + [ne + w for w in range(nm)]
+        return evens + [ne + w for w in sorted(near)]
 
     labels = [even.label(i) for i in range(ne)] + list(mod.odd_labels)
     even_labels = labels[:ne]
     odd_labels = labels[ne:]
     collector = _RowCollector()
+    seen = collector.seen
 
     def emit(triple: tuple[str, str, str], comp_labels: list[str],
              terms: list[tuple[int, int, Fraction]]) -> None:
@@ -282,8 +328,10 @@ def generate_constraints(even: SuperAlgebra, mod: BimoduleSpec,
             row = acc.get(comp)
             if row is None:
                 acc[comp] = {p: cf}
+            elif p in row:
+                row[p] += cf
             else:
-                row[p] = row.get(p, 0) + cf
+                row[p] = cf
         for comp in sorted(acc):
             collector.add(acc[comp], triple, comp_labels[comp])
 
@@ -294,12 +342,20 @@ def generate_constraints(even: SuperAlgebra, mod: BimoduleSpec,
                 triple = (labels[t0], labels[t1], labels[t2])
                 if t0 >= ne and t1 >= ne and t2 >= ne:
                     u, v, w = t0 - ne, t1 - ne, t2 - ne
+                    kvw = kinds.get((v, w), ())
+                    kuv = kinds.get((u, v), ())
+                    kuw = kinds.get((u, w), ())
+                    # a triple that reads one unknown only can give nothing
+                    # but that unknown's unit row: skip it once that is kept
+                    ps = {p for ks in (kvw, kuv, kuw) for _, p in ks}
+                    if len(ps) == 1 and ((ps.pop(), 1),) in seen:
+                        continue
                     # residual = [u,[v,w]] - [[u,v],w] - [[u,w],v], odd vector
-                    terms = [(r, p, cf) for k, p in kinds.get((v, w), ())
+                    terms = [(r, p, cf) for k, p in kvw
                              for r, cf in rcol[k][u].items()]
-                    terms += [(r, p, -cf) for k, p in kinds.get((u, v), ())
+                    terms += [(r, p, -cf) for k, p in kuv
                               for r, cf in lcol[k][w].items()]
-                    terms += [(r, p, -cf) for k, p in kinds.get((u, w), ())
+                    terms += [(r, p, -cf) for k, p in kuw
                               for r, cf in lcol[k][v].items()]
                     emit(triple, odd_labels, terms)
                 elif t0 < ne:
@@ -404,18 +460,31 @@ def weight_prefilter(even: SuperAlgebra, mod: BimoduleSpec
     vector h qualifies on every catalog module (its weight decomposition);
     on a module where no even basis vector acts diagonally the set is empty.
     The unknowns are keyed by unordered pairs, for the symmetric regime.
+
+    The odd indices are bucketed by weight, so the unknowns that match come
+    from the bucket of u_k - l_i for each kind k and index i; the result is
+    the rest, the unknowns that some diagonal vector fails to match.
     """
     ne, nm = even.dim, mod.module_dim
     rcol, _ = mod.action_columns
-    zeroed: set[UnknownId] = set()
+    kept: set[tuple[int, int, int]] | None = None
     for a in range(ne):
         lam = _diagonal(rcol[a])
         mu = _diagonal([even.bracket_indices(k, a) for k in range(ne)])
         if lam is None or mu is None:
             continue
-        zeroed.update(u for u in _full_unknowns(ne, nm)
-                      if lam[u.i] + lam[u.j] != mu[u.kind])
-    return frozenset(zeroed)
+        # bucket the odd indices by weight: U_k(i,j) matches exactly when
+        # j is in the bucket of weight u_k - l_i
+        bucket: dict[Fraction, list[int]] = {}
+        for j, weight in enumerate(lam):
+            bucket.setdefault(weight, []).append(j)
+        matching = {(k, i, j) for k in range(ne) for i in range(nm)
+                    for j in bucket.get(mu[k] - lam[i], ()) if j >= i}
+        kept = matching if kept is None else kept & matching
+    if kept is None:
+        return frozenset()
+    return frozenset(UnknownId(k, i, j) for k in range(ne) for i in range(nm)
+                     for j in range(i, nm) if (k, i, j) not in kept)
 
 
 def _diagonal(columns: Sequence[Vec]) -> list[Fraction] | None:

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sl2super.algebra import BimoduleSpec, SuperAlgebra, check_leibniz_super
+from sl2super.algebra import (BasisVector, BimoduleSpec, Parity, SuperAlgebra,
+                              check_leibniz_super)
 from sl2super.catalog import (
     OddBracketTable,
     assemble,
@@ -502,8 +503,12 @@ DIFFERENTIAL_GRID = (
     + [f"{fam}:{nk}" for fam in ("m3", "m4") for nk in ("4:2", "6:3", "8:3")]
     + ["zero:1", "zero:2", "zero:3", "conjugated-n1:2"])
 
+# larger ids, where nearly every all-odd triple reads a single kept unknown
+# whose unit row is already in the system, so the generator skips it
+SKIP_GRID = ["n1:12", "n1:16", "m1:8", "m3:10:4"]
 
-@pytest.mark.parametrize("identifier", DIFFERENTIAL_GRID)
+
+@pytest.mark.parametrize("identifier", DIFFERENTIAL_GRID + SKIP_GRID)
 def test_weight_filtered_classification_equals_the_full_system(identifier):
     mod = grid_module(identifier)
     cl = classify(sl2(), mod)
@@ -532,6 +537,59 @@ def test_any_zeroed_set_leaves_exactly_those_unknowns_out(identifier,
         restricted_rows(full, cs.unknowns))
 
 
+def reference_weight_prefilter(even, mod):
+    """The unknowns U_k(i,j), i <= j, with l_i + l_j != u_k for some even
+    basis vector acting diagonally with weights l on the module and u on
+    the even part: one comparison per full unknown, the oracle of the
+    bucketed ``weight_prefilter``."""
+    ne, nm = even.dim, mod.module_dim
+    rcol, _ = mod.action_columns
+
+    def diagonal(columns):
+        if any(set(col) - {m} for m, col in enumerate(columns)):
+            return None
+        return [col.get(m, Fraction(0)) for m, col in enumerate(columns)]
+
+    zeroed = set()
+    for a in range(ne):
+        lam = diagonal(rcol[a])
+        mu = diagonal([even.bracket_indices(k, a) for k in range(ne)])
+        if lam is None or mu is None:
+            continue
+        zeroed.update(UnknownId(k, i, j) for k in range(ne) for i in range(nm)
+                      for j in range(i, nm) if lam[i] + lam[j] != mu[k])
+    return frozenset(zeroed)
+
+
+def abelian_weight_module():
+    """A module over the 2-dimensional abelian algebra on which both even
+    basis vectors act diagonally, with different weights."""
+    even = SuperAlgebra([BasisVector(0, "p", Parity.EVEN),
+                         BasisVector(1, "q", Parity.EVEN)], {})
+    right = (Matrix.from_entries(3, 3, {(0, 0): 1, (1, 1): -1}),
+             Matrix.from_entries(3, 3, {(2, 2): 1}))
+    return even, BimoduleSpec(even, ("m_0", "m_1", "m_2"), right,
+                              (Matrix.zeros(3, 3),) * 2)
+
+
+@pytest.mark.parametrize("identifier", DIFFERENTIAL_GRID + ["abelian"])
+def test_weight_prefilter_matches_the_reference(identifier):
+    if identifier == "abelian":
+        even, mod = abelian_weight_module()
+    else:
+        even, mod = sl2(), grid_module(identifier)
+    assert weight_prefilter(even, mod) == reference_weight_prefilter(even, mod)
+
+
+def test_weight_prefilter_intersects_the_diagonal_vectors():
+    # the weights of p, (1, -1, 0), keep the pairs {0, 1} and {2, 2}; those
+    # of q, (0, 0, 1), keep {0, 0}, {0, 1} and {1, 1}
+    even, mod = abelian_weight_module()
+    kept = set(UnknownId(k, i, j) for k in range(2) for i in range(3)
+               for j in range(i, 3)) - weight_prefilter(even, mod)
+    assert kept == {UnknownId(k, 0, 1) for k in range(2)}
+
+
 def test_weight_prefilter_edge_modules():
     # zero actions: every module vector has weight 0, so only the
     # h-components survive
@@ -547,6 +605,60 @@ def test_weight_prefilter_edge_modules():
                                              zero_odd_indices=cl.filtered)
     assert generate_constraints(sl2(), mod, zero_unknowns=frozenset()) == (
         generate_constraints(sl2(), mod))
+
+
+def one_kind_per_pair(unknowns, symmetric):
+    """Every unknown of ``unknowns`` except one kind per odd pair, the kind
+    (i + 2j) mod 3.  With ordered pairs, (1, 0) keeps none, so the prefix
+    (x_0, x_1) reads the one unknown U_2(0,1) and (x_1, x_0) reads none,
+    although the two positions still touch."""
+    def kept(u):
+        if not symmetric and (u.i, u.j) == (1, 0):
+            return False
+        return u.kind == (u.i + 2 * u.j) % 3
+    return frozenset(u for u in unknowns if not kept(u))
+
+
+@pytest.mark.parametrize("identifier", ["n1:2", "n1:5", "n2:3", "m1:3",
+                                        "m3:4:2", "conjugated-n1:2"])
+@pytest.mark.parametrize("symmetric", [True, False],
+                         ids=["symmetric", "ordered"])
+def test_one_kept_kind_per_pair_gives_the_restricted_rows(identifier,
+                                                          symmetric):
+    # every pair keeps at most one unknown, so nearly every all-odd triple
+    # reads one position
+    mod = grid_module(identifier)
+    full = generate_constraints(sl2(), mod, symmetric=symmetric)
+    zeroed = one_kind_per_pair(full.unknowns, symmetric)
+    cs = generate_constraints(sl2(), mod, symmetric=symmetric,
+                              zero_unknowns=zeroed)
+    assert cs.unknowns == tuple(u for u in full.unknowns if u not in zeroed)
+    assert [(r.coeffs, r.triple, r.component) for r in cs.rows] == (
+        restricted_rows(full, cs.unknowns))
+
+
+# calls of _RowCollector.add per generation in classify's mode (both
+# prefilters); a generator that re-derives every repeat of a unit row
+# makes 5286, 10045 and 5208
+ADD_CALL_CEILINGS = {"n1:24": 1150, "m1:24": 1560, "m3:16:3": 1125}
+
+
+@pytest.mark.parametrize("identifier", sorted(ADD_CALL_CEILINGS))
+def test_generation_work_follows_the_kept_rows(monkeypatch, identifier):
+    module = importlib.import_module("sl2super.classify")
+    calls = []
+    add = module._RowCollector.add
+
+    def counted(self, *args):
+        calls.append(args)
+        return add(self, *args)
+
+    monkeypatch.setattr(module._RowCollector, "add", counted)
+    mod = resolve(identifier)
+    cs = generate_constraints(
+        sl2(), mod, zero_odd_indices=annihilator_prefilter(sl2(), mod),
+        zero_unknowns=weight_prefilter(sl2(), mod))
+    assert len(cs.rows) <= len(calls) <= ADD_CALL_CEILINGS[identifier]
 
 
 def test_classify_grid_json_matches_the_full_system(capsys):
