@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import re
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
@@ -537,13 +537,19 @@ def check_graded_antisymmetry(A: SuperAlgebra) -> ViolationReport:
 # ---------------------------------------------------------------------------
 
 
+Columns = tuple[Mapping[int, Fraction], ...]  # one action, column by column
+
+
 @dataclass(frozen=True)
 class BimoduleSpec:
     """Left/right action pair of an even Leibniz algebra L on a module M.
 
-    ``right[k]`` is the matrix of m -> [m, b_k] and ``left[k]`` the matrix of
-    m -> [b_k, m] in the module basis ``odd_labels`` (column j holds the
-    image of the j-th module vector).  The axioms checked by
+    ``right[a][m]`` is the image of module vector m under m -> [m, b_a], and
+    ``left[a][m]`` its image under m -> [b_a, m], each a read-only sparse
+    mapping from module index to nonzero coefficient in the basis
+    ``odd_labels``.  Each action may be passed as a ``Matrix`` (column m
+    holds the image of the m-th module vector) or as one mapping per module
+    vector; either is copied into that stored form.  The axioms checked by
     ``check_bimodule_axioms`` are, for module m and even x, y:
 
         [m,[x,y]] = [[m,x],y] - [[m,y],x]      (bimodule-1)
@@ -553,16 +559,16 @@ class BimoduleSpec:
     which is the Leibniz identity of the split extension L ⋉ M
     (``split_extension_table``) on the triples (m,x,y), (x,m,y), (x,y,m).
 
-    A spec is immutable (frozen fields, immutable ``Matrix`` actions, an
-    even algebra whose table is private), so what is derived from it is
-    computed on first use and kept on the instance: the axiom report that
-    ``check_bimodule_axioms`` returns and ``action_columns``.
+    A spec is immutable (frozen fields, read-only action columns, an even
+    algebra whose table is private), so the axiom report that
+    ``check_bimodule_axioms`` returns is computed on first use and kept on
+    the instance.
     """
 
     even: SuperAlgebra
     odd_labels: tuple[str, ...]
-    right: tuple[Matrix, ...]
-    left: tuple[Matrix, ...]
+    right: tuple[Columns, ...]
+    left: tuple[Columns, ...]
 
     def __post_init__(self):
         if not self.even.is_purely_even():
@@ -572,23 +578,13 @@ class BimoduleSpec:
             raise ValueError("duplicate module labels")
         if len(self.right) != self.even.dim or len(self.left) != self.even.dim:
             raise ValueError("need one action matrix per even basis vector")
-        for mat in (*self.right, *self.left):
-            if mat.nrows != d or mat.ncols != d:
-                raise ValueError("action matrices must be square of module dim")
+        for side in ("right", "left"):
+            object.__setattr__(self, side, tuple(
+                _as_columns(action, d) for action in getattr(self, side)))
 
     @property
     def module_dim(self) -> int:
         return len(self.odd_labels)
-
-    @cached_property
-    def action_columns(self) -> tuple[tuple[tuple[Vec, ...], ...],
-                                      tuple[tuple[Vec, ...], ...]]:
-        """Sparse column views ``(rcol, lcol)`` of the actions: ``rcol[a][m]``
-        is the image of module vector m under the right action of b_a, and
-        ``lcol[a][m]`` under its left action.  Built once per spec and
-        shared by every caller, so it must be read, never changed."""
-        return (tuple(_sparse_columns(mat) for mat in self.right),
-                tuple(_sparse_columns(mat) for mat in self.left))
 
     @cached_property
     def _axiom_report(self) -> ViolationReport:
@@ -598,9 +594,10 @@ class BimoduleSpec:
         """Structure constants of L ⋉ M with [M, M] = 0, on the basis of L
         (indices 0 .. n-1) followed by the module vectors (n .. n+d-1): the
         products of L, then per even x and module m the products [x, m] and
-        [m, x] read from ``action_columns``.  A fresh table on each call."""
+        [m, x] read from ``left`` and ``right``.  A fresh table on each
+        call."""
         ne = self.even.dim
-        rcol, lcol = self.action_columns
+        rcol, lcol = self.right, self.left
         table = dict(self.even.table_items())
         for x in range(ne):
             for m in range(self.module_dim):
@@ -613,13 +610,31 @@ class BimoduleSpec:
         return table
 
 
-def _sparse_columns(mat: Matrix) -> tuple[Vec, ...]:
-    cols: tuple[Vec, ...] = tuple({} for _ in range(mat.ncols))
-    for r, row in enumerate(mat.rows()):
-        for m, v in enumerate(row):
-            if v != 0:
-                cols[m][r] = v
-    return cols
+def _as_columns(action: Matrix | Sequence[Mapping[int, object]],
+                d: int) -> Columns:
+    """One action in the stored form of ``BimoduleSpec``: a copy, per module
+    vector, of its image as a read-only mapping with exact nonzero
+    coefficients in row order, so that equal specs are read in the same
+    order however their input was ordered.  Raises ValueError unless the
+    action is d x d."""
+    if isinstance(action, Matrix):
+        if action.nrows != d:
+            raise ValueError("action matrices must be square of module dim")
+        action = [dict(enumerate(column)) for column in zip(*action.rows())]
+    if len(action) != d:
+        raise ValueError("action matrices must be square of module dim")
+    columns = []
+    for image in action:
+        column = {}
+        for r in sorted(image):
+            if not 0 <= r < d:
+                raise ValueError(
+                    "action matrices must be square of module dim")
+            v = parse_scalar(image[r])
+            if v:
+                column[r] = v
+        columns.append(MappingProxyType(column))
+    return tuple(columns)
 
 
 def check_bimodule_axioms(spec: BimoduleSpec) -> ViolationReport:

@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from .algebra import (BasisVector, BimoduleSpec, Parity, SuperAlgebra, Vec,
                       check_bimodule_axioms)
-from .linalg import Matrix, parse_scalar
+from .linalg import parse_scalar
 
 SL2_LABELS = ("e", "f", "h")
 E, F, H = 0, 1, 2
@@ -60,34 +60,28 @@ def sl2() -> SuperAlgebra:
 
 
 class _ActionBuilder:
-    """Accumulates sparse action matrix entries for the three generators."""
+    """Accumulates one action of each of the three generators, column by
+    column: ``columns[gen][col]`` maps a row to its coefficient in the image
+    of module vector ``col``, the form ``BimoduleSpec`` takes (and copies,
+    dropping the zeros)."""
 
     def __init__(self, dim: int):
         self.dim = dim
-        self.entries: list[dict[tuple[int, int], Fraction]] = [{}, {}, {}]
+        self.columns: list[list[dict[int, Fraction]]] = [
+            [{} for _ in range(dim)] for _ in range(3)]
 
     def add(self, gen: int, row: int, col: int, value) -> None:
-        v = parse_scalar(value)
-        if v == 0 or not (0 <= row < self.dim):
+        if not 0 <= row < self.dim:
             return  # out-of-range ladder indices denote the zero vector
-        key = (row, col)
-        cur = self.entries[gen].get(key, Fraction(0)) + v
-        if cur == 0:
-            self.entries[gen].pop(key, None)
-        else:
-            self.entries[gen][key] = cur
+        image = self.columns[gen][col]
+        image[row] = image.get(row, Fraction(0)) + parse_scalar(value)
 
     def set_column(self, gen: int, col: int,
                    terms: list[tuple[int, object]]) -> None:
         """Replace the whole image of basis vector ``col`` under ``gen``."""
-        for key in [k for k in self.entries[gen] if k[1] == col]:
-            del self.entries[gen][key]
+        self.columns[gen][col] = {}
         for row, value in terms:
             self.add(gen, row, col, value)
-
-    def matrices(self) -> tuple[Matrix, ...]:
-        return tuple(Matrix.from_entries(self.dim, self.dim, ent)
-                     for ent in self.entries)
 
 
 def _ladder_right(builder: _ActionBuilder, offset: int, m: int) -> None:
@@ -107,10 +101,10 @@ def module_n1(n: int) -> BimoduleSpec:
         raise ValueError("n must be nonnegative")
     right = _ActionBuilder(n + 1)
     _ladder_right(right, 0, n)
-    mats = right.matrices()
-    neg = tuple(Matrix([[-x for x in row] for row in m.rows()]) for m in mats)
+    left = [[{r: -v for r, v in image.items()} for image in action]
+            for action in right.columns]
     labels = tuple(f"x_{i}" for i in range(n + 1))
-    return BimoduleSpec(sl2(), labels, mats, neg)
+    return BimoduleSpec(sl2(), labels, right.columns, left)
 
 
 def module_n2(n: int) -> BimoduleSpec:
@@ -119,9 +113,9 @@ def module_n2(n: int) -> BimoduleSpec:
         raise ValueError("n must be nonnegative")
     right = _ActionBuilder(n + 1)
     _ladder_right(right, 0, n)
-    zero = Matrix.zeros(n + 1, n + 1)
     labels = tuple(f"x_{i}" for i in range(n + 1))
-    return BimoduleSpec(sl2(), labels, right.matrices(), (zero, zero, zero))
+    return BimoduleSpec(sl2(), labels, right.columns,
+                        _ActionBuilder(n + 1).columns)
 
 
 def bimodule_m1(n: int) -> BimoduleSpec:
@@ -155,7 +149,7 @@ def bimodule_m1(n: int) -> BimoduleSpec:
         left.add(E, oy + i - 2, i, i * (i - 1))
     labels = tuple(f"x_{i}" for i in range(n + 1)) + \
         tuple(f"y_{j}" for j in range(n - 1))
-    spec = BimoduleSpec(sl2(), labels, right.matrices(), left.matrices())
+    spec = BimoduleSpec(sl2(), labels, right.columns, left.columns)
     _validate(spec, f"m1:{n}")
     return spec
 
@@ -190,7 +184,7 @@ def bimodule_m2(n: int) -> BimoduleSpec:
         left.add(E, oy + j - 1, oy + j, (n - j - 1) * j)
     labels = tuple(f"x_{i}" for i in range(n + 1)) + \
         tuple(f"y_{j}" for j in range(n - 1))
-    spec = BimoduleSpec(sl2(), labels, right.matrices(), left.matrices())
+    spec = BimoduleSpec(sl2(), labels, right.columns, left.columns)
     _validate(spec, f"m2:{n}")
     return spec
 
@@ -202,6 +196,34 @@ def _chain_dims(n: int, k: int) -> list[int]:
     if dims[-1] < 1:
         raise ValueError(f"summand dimensions must stay positive: need n >= {2 * k - 2}")
     return dims
+
+
+def _chain_layout(n: int, k: int):
+    """Module basis of the k-summand chain: the summand dimensions, the
+    labels v_i^q in basis order, ``slot(q, i)``, the position of v_i^q
+    (1-based summand q, ladder index i) or None outside the chain, and
+    ``setcol(builder, gen, q, i, terms)``, which sets the image of v_i^q
+    under ``gen`` to the sum of the terms ((q', i'), c) = c v_{i'}^{q'},
+    a term outside the chain being zero."""
+    dims = _chain_dims(n, k)
+    offsets = [0]
+    for d in dims[:-1]:
+        offsets.append(offsets[-1] + d)
+    labels = tuple(f"v_{i}^{q}" for q in range(1, k + 1)
+                   for i in range(dims[q - 1]))
+
+    def slot(q: int, i: int) -> int | None:
+        if not (1 <= q <= k) or not (0 <= i < dims[q - 1]):
+            return None
+        return offsets[q - 1] + i
+
+    def setcol(builder: _ActionBuilder, gen: int, q: int, i: int,
+               terms: list[tuple[tuple[int, int], object]]) -> None:
+        builder.set_column(gen, slot(q, i),
+                           [(slot(tq, ti), c) for (tq, ti), c in terms
+                            if slot(tq, ti) is not None])
+
+    return dims, labels, slot, setcol
 
 
 def _chain_bimodule(n: int, k: int, coupled_rem: int) -> BimoduleSpec:
@@ -220,44 +242,24 @@ def _chain_bimodule(n: int, k: int, coupled_rem: int) -> BimoduleSpec:
     part is exactly the negated right action, and the off-diagonal coupling
     maps are equivariant, which is what makes the axioms hold.
     """
-    dims = _chain_dims(n, k)
-    offsets = [0]
-    for d in dims[:-1]:
-        offsets.append(offsets[-1] + d)
-    total = sum(dims)
-    right = _ActionBuilder(total)
-    left = _ActionBuilder(total)
-
-    def slot(q: int, i: int) -> int | None:
-        # 1-based summand q, ladder index i; None when outside the chain
-        if not (1 <= q <= k) or not (0 <= i < dims[q - 1]):
-            return None
-        return offsets[q - 1] + i
-
+    dims, labels, slot, setcol = _chain_layout(n, k)
+    right = _ActionBuilder(len(labels))
+    left = _ActionBuilder(len(labels))
     for q in range(1, k + 1):
         m = n - 2 * q + 2
-        _ladder_right(right, offsets[q - 1], m)
+        _ladder_right(right, slot(q, 0), m)
         if q % 2 != coupled_rem:
             continue
         for i in range(dims[q - 1]):
-            col = offsets[q - 1] + i
-            for gen, terms in (
-                (H, [(slot(q - 1, i + 1), 2 * (m + 1 - i)),
-                     (slot(q, i), -(m - 2 * i)),
-                     (slot(q + 1, i - 1), -2 * i)]),
-                (F, [(slot(q - 1, i + 2), 1),
-                     (slot(q, i + 1), -1),
-                     (slot(q + 1, i), 1)]),
-                (E, [(slot(q - 1, i), (m + 1 - i) * (m + 2 - i)),
-                     (slot(q, i - 1), i * (m + 1 - i)),
-                     (slot(q + 1, i - 2), i * (i - 1))]),
-            ):
-                for row, val in terms:
-                    if row is not None:
-                        left.add(gen, row, col, val)
-    labels = tuple(f"v_{i}^{q}" for q in range(1, k + 1)
-                   for i in range(dims[q - 1]))
-    return BimoduleSpec(sl2(), labels, right.matrices(), left.matrices())
+            setcol(left, H, q, i, [((q - 1, i + 1), 2 * (m + 1 - i)),
+                                   ((q, i), -(m - 2 * i)),
+                                   ((q + 1, i - 1), -2 * i)])
+            setcol(left, F, q, i, [((q - 1, i + 2), 1), ((q, i + 1), -1),
+                                   ((q + 1, i), 1)])
+            setcol(left, E, q, i, [((q - 1, i), (m + 1 - i) * (m + 2 - i)),
+                                   ((q, i - 1), i * (m + 1 - i)),
+                                   ((q + 1, i - 2), i * (i - 1))])
+    return BimoduleSpec(sl2(), labels, right.columns, left.columns)
 
 
 def bimodule_m3(n: int, k: int, verbatim: bool = False) -> BimoduleSpec:
@@ -289,23 +291,6 @@ def bimodule_m4(n: int, k: int, verbatim: bool = False) -> BimoduleSpec:
     return spec
 
 
-def _verbatim_chain_setup(n: int, k: int):
-    dims = _chain_dims(n, k)
-    offsets = [0]
-    for d in dims[:-1]:
-        offsets.append(offsets[-1] + d)
-    total = sum(dims)
-    labels = tuple(f"v_{i}^{q}" for q in range(1, k + 1)
-                   for i in range(dims[q - 1]))
-
-    def slot(q: int, i: int) -> int | None:
-        if not (1 <= q <= k) or not (0 <= i < dims[q - 1]):
-            return None
-        return offsets[q - 1] + i
-
-    return dims, offsets, total, labels, slot
-
-
 def _verbatim_m3(n: int, k: int) -> BimoduleSpec:
     """The m3 table exactly as printed.  Left-hand sides are read from row
     position (the printed f row of the even block carries a stray odd
@@ -313,17 +298,9 @@ def _verbatim_m3(n: int, k: int) -> BimoduleSpec:
     denote zero, and when two printed row groups cover the same summand the
     later group wins.
     """
-    dims, offsets, total, labels, slot = _verbatim_chain_setup(n, k)
-    right = _ActionBuilder(total)
-    left = _ActionBuilder(total)
-
-    def setcol(builder, gen, q, i, terms):
-        col = slot(q, i)
-        assert col is not None
-        builder.set_column(gen, col,
-                           [(r, v) for r, v in ((slot(tq, ti), v)
-                                                for (tq, ti), v in terms)
-                            if r is not None])
+    dims, labels, _, setcol = _chain_layout(n, k)
+    right = _ActionBuilder(len(labels))
+    left = _ActionBuilder(len(labels))
 
     p = 1
     while True:
@@ -363,23 +340,15 @@ def _verbatim_m3(n: int, k: int) -> BimoduleSpec:
                 for g in (H, F, E):
                     setcol(left, g, q_next, i, [])
         p += 1
-    return BimoduleSpec(sl2(), labels, right.matrices(), left.matrices())
+    return BimoduleSpec(sl2(), labels, right.columns, left.columns)
 
 
 def _verbatim_m4(n: int, k: int) -> BimoduleSpec:
     """The m4 table exactly as printed, with the same reading rules as
     ``_verbatim_m3``."""
-    dims, offsets, total, labels, slot = _verbatim_chain_setup(n, k)
-    right = _ActionBuilder(total)
-    left = _ActionBuilder(total)
-
-    def setcol(builder, gen, q, i, terms):
-        col = slot(q, i)
-        assert col is not None
-        builder.set_column(gen, col,
-                           [(r, v) for r, v in ((slot(tq, ti), v)
-                                                for (tq, ti), v in terms)
-                            if r is not None])
+    dims, labels, _, setcol = _chain_layout(n, k)
+    right = _ActionBuilder(len(labels))
+    left = _ActionBuilder(len(labels))
 
     for i in range(dims[0]):
         setcol(right, H, 1, i, [((1, i), n - 2 * i)])
@@ -419,7 +388,7 @@ def _verbatim_m4(n: int, k: int) -> BimoduleSpec:
                         ((q_next, i - 1), (n - 4 * p - i + 1) * i),
                         ((q_next + 1, i - 2), i * (i - 1))])
         p += 1
-    return BimoduleSpec(sl2(), labels, right.matrices(), left.matrices())
+    return BimoduleSpec(sl2(), labels, right.columns, left.columns)
 
 
 def _validate(spec: BimoduleSpec, name: str) -> None:
@@ -449,6 +418,8 @@ class OddBracketTable:
     @classmethod
     def build(cls, products: dict[tuple[int, int], dict[int, object]]
               ) -> "OddBracketTable":
+        # every key seen, zero values included, so the conflict check does
+        # not depend on which of the two orders of a pair comes first
         norm: dict[tuple[int, int], dict[int, Fraction]] = {}
         for (i, j), vec in products.items():
             key = (i, j) if i <= j else (j, i)
@@ -456,10 +427,9 @@ class OddBracketTable:
                      if parse_scalar(v) != 0}
             if key in norm and norm[key] != clean:
                 raise ValueError(f"conflicting entries for pair {key}")
-            if clean:
-                norm[key] = clean
+            norm[key] = clean
         return cls(tuple(sorted((k, tuple(sorted(v.items())))
-                                for k, v in norm.items())))
+                                for k, v in norm.items() if v)))
 
     @classmethod
     def zero(cls) -> "OddBracketTable":

@@ -28,12 +28,12 @@ only the triples that can touch one of them.  ``classify`` writes the
 solution of the reduced system back in full coordinates, where it equals
 the solution of the unreduced system exactly.
 
-All three read the module actions through the sparse columns that the spec
-builds once (``BimoduleSpec.action_columns``).  The generator indexes the
-kept unknowns once by odd pair.  Each identity term of a triple reads one
-odd pair, so the generator takes the kept unknowns of that pair from the
-index and composes only those with the known actions; a term whose pair
-keeps no unknown costs one lookup.
+All three read the module actions as the spec stores them, as read-only
+sparse columns (``BimoduleSpec.right`` and ``left``).  The generator
+indexes the kept unknowns once by odd pair.  Each identity term of a
+triple reads one odd pair, so the generator takes the kept unknowns of that
+pair from the index and composes only those with the known actions; a term
+whose pair keeps no unknown costs one lookup.
 
 After the weight filter nearly every row the triples give is a unit row
 U = 0, derived again by dozens of triples, so the generator skips the
@@ -259,7 +259,7 @@ def generate_constraints(even: SuperAlgebra, mod: BimoduleSpec,
         for (i, j), ks in list(kinds.items()):
             kinds[(j, i)] = ks
 
-    rcol, lcol = mod.action_columns
+    rcol, lcol = mod.right, mod.left
     # ebr[x][y] = the even product [e_x, e_y] as a sparse vector
     ebr = [[even.bracket_indices(x, y) for y in range(ne)] for x in range(ne)]
     # touch[i] = odd positions j such that the pair {i, j} keeps an unknown
@@ -417,7 +417,7 @@ def annihilator_prefilter(even: SuperAlgebra, mod: BimoduleSpec
     nm = mod.module_dim
     if nm == 0:
         return frozenset()
-    rcol, lcol = mod.action_columns
+    rcol, lcol = mod.right, mod.left
     ne = even.dim
     rs = RowSpace(nm)
     for a in range(ne):
@@ -466,7 +466,7 @@ def weight_prefilter(even: SuperAlgebra, mod: BimoduleSpec
     the rest, the unknowns that some diagonal vector fails to match.
     """
     ne, nm = even.dim, mod.module_dim
-    rcol, _ = mod.action_columns
+    rcol = mod.right
     kept: set[tuple[int, int, int]] | None = None
     for a in range(ne):
         lam = _diagonal(rcol[a])

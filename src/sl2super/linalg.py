@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable, Sequence
+from typing import Iterable
 
 Scalar = Fraction
 
@@ -196,48 +196,8 @@ class Matrix:
             raise IndexError(f"row {i} out of range")
         return self._rows[i]
 
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        if not 0 <= j < self.ncols:
-            raise IndexError(f"column {j} out of range")
-        return tuple(r[j] for r in self._rows)
-
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
         return self._rows
-
-    def apply(self, vec: Sequence) -> tuple[Fraction, ...]:
-        """Matrix-vector product."""
-        v = [parse_scalar(x) for x in vec]
-        if len(v) != self.ncols:
-            raise ValueError("dimension mismatch")
-        return tuple(sum((r[j] * v[j] for j in range(self.ncols)), _ZERO)
-                     for r in self._rows)
-
-    def apply_sparse(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
-        """Product with a sparse coordinate vector, sparse result."""
-        out: dict[int, Fraction] = {}
-        for j, c in vec.items():
-            if not 0 <= j < self.ncols:
-                raise IndexError(f"coordinate {j} out of range")
-            if c == 0:
-                continue
-            for i in range(self.nrows):
-                e = self._rows[i][j]
-                if e == 0:
-                    continue
-                new = out.get(i, _ZERO) + e * c
-                if new == 0:
-                    out.pop(i, None)
-                else:
-                    out[i] = new
-        return out
-
-    def transpose(self) -> "Matrix":
-        return Matrix(zip(*self._rows)) if self.nrows else Matrix([])
-
-    def stack(self, other: "Matrix") -> "Matrix":
-        if self.ncols != other.ncols and self.nrows and other.nrows:
-            raise ValueError("column count mismatch")
-        return Matrix(self._rows + other._rows)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Matrix) and self._rows == other._rows

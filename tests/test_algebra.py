@@ -396,10 +396,10 @@ def test_bimodule_axioms_hold_for_catalog_module():
 def corrupted_n1() -> BimoduleSpec:
     """module_n1(1) with one right-action entry of e changed."""
     spec = module_n1(1)
-    rows = [list(r) for r in spec.right[E].rows()]
-    rows[0][1] = Fraction(-2)  # was -1
+    right_e = list(spec.right[E])
+    right_e[1] = {0: Fraction(-2)}  # [x_1, e] was -x_0
     return BimoduleSpec(spec.even, spec.odd_labels,
-                        (Matrix(rows), spec.right[F], spec.right[H]),
+                        (right_e, spec.right[F], spec.right[H]),
                         spec.left)
 
 
@@ -484,6 +484,21 @@ def test_bracket_indices_cannot_change_the_algebra():
     assert check_bimodule_axioms(module_n1(2)).ok
 
 
+def dense(action, d):
+    """An action stored as columns, written out as a d x d ``Matrix``."""
+    return Matrix([[action[m].get(r, 0) for m in range(d)]
+                   for r in range(d)])
+
+
+def apply(action, vec):
+    """The image of the sparse vector ``vec`` under an action stored as
+    columns."""
+    out = {}
+    for m, c in vec.items():
+        out = algebra._vadd(out, action[m], c)
+    return out
+
+
 @pytest.mark.parametrize("build", [
     lambda: module_n1(3),
     lambda: bimodule_m2(4),
@@ -491,34 +506,97 @@ def test_bracket_indices_cannot_change_the_algebra():
     corrupted_n1,
 ], ids=["n1:3", "m2:4", "verbatim-m3:8:3", "corrupted-n1:1"])
 def test_action_columns_are_the_matrix_columns(build):
+    # a spec built from ``Matrix`` actions stores their nonzero columns
     spec = build()
-    rcol, lcol = spec.action_columns
-    assert spec.action_columns is spec.action_columns
-    for cols, mats in ((rcol, spec.right), (lcol, spec.left)):
-        assert len(cols) == len(mats) == spec.even.dim
-        for col, mat in zip(cols, mats):
-            assert len(col) == spec.module_dim
-            for m in range(spec.module_dim):
-                assert col[m] == {r: mat.entry(r, m)
-                                  for r in range(spec.module_dim)
+    d = spec.module_dim
+    mats = [tuple(dense(action, d) for action in side)
+            for side in (spec.right, spec.left)]
+    rebuilt = BimoduleSpec(spec.even, spec.odd_labels, *mats)
+    for cols, side_mats in zip((rebuilt.right, rebuilt.left), mats):
+        assert len(cols) == len(side_mats) == spec.even.dim
+        for col, mat in zip(cols, side_mats):
+            assert len(col) == d
+            for m in range(d):
+                assert col[m] == {r: mat.entry(r, m) for r in range(d)
                                   if mat.entry(r, m) != 0}
+    assert rebuilt == spec
+
+
+def test_stored_columns_are_read_only():
+    spec = bimodule_m1(3)
+    with pytest.raises(TypeError):
+        spec.right[H][0][0] = 5  # [x_0, h] = 3 x_0
+    with pytest.raises(TypeError):
+        spec.left[F][0][5] = 1  # [f, x_0] has no y_1 component
+    with pytest.raises(TypeError):
+        del spec.left[F][0][1]
+    assert spec == bimodule_m1(3)
+    assert check_bimodule_axioms(spec).ok
+
+
+def test_a_spec_copies_its_input():
+    images = [[{0: ONE}, {1: ONE}], [{}, {}]]  # b_0 acts as the identity
+    even = SuperAlgebra(even_basis(["a", "b"]), {})
+    spec = BimoduleSpec(even, ("m0", "m1"), images, images)
+    images[0][0][1] = ONE
+    images[0][1] = {0: ONE}
+    images[1].append({})
+    assert spec.right == spec.left == (({0: ONE}, {1: ONE}), ({}, {}))
+    mats = [Matrix.identity(2), Matrix.zeros(2, 2)]
+    assert BimoduleSpec(even, ("m0", "m1"), mats, mats) == spec
+
+
+@pytest.mark.parametrize("action,error", [
+    ([{0: 1}], ValueError),                        # one column, not two
+    ([{0: 1}, {0: 1}, {}], ValueError),            # three columns
+    ([{0: 1}, {2: 1}], ValueError),                # row 2 of a 2-dim module
+    ([{0: 1}, {-1: 1}], ValueError),               # row -1
+    ([{0: 1}, {1: 0.5}], TypeError),               # a float entry
+    (Matrix.identity(3), ValueError),              # a 3 x 3 matrix
+    (Matrix([[1, 0, 0], [0, 1, 0]]), ValueError),  # a 2 x 3 matrix
+    (Matrix([[1, 0]]), ValueError),                # a 1 x 2 matrix
+], ids=["one-column", "three-columns", "row-2", "row-minus-1", "float",
+        "matrix-3x3", "matrix-2x3", "matrix-1x2"])
+def test_a_malformed_action_is_rejected(action, error):
+    even = SuperAlgebra(even_basis(["a"]), {})
+    with pytest.raises(error):
+        BimoduleSpec(even, ("m0", "m1"), (action,), ([{}, {}],))
+    with pytest.raises(error):
+        BimoduleSpec(even, ("m0", "m1"), ([{}, {}],), (action,))
+
+
+def test_zero_entries_are_not_stored():
+    even = SuperAlgebra(even_basis(["a"]), {})
+    spec = BimoduleSpec(even, ("m0", "m1"),
+                        ([{0: 0, 1: "1/2"}, {0: Fraction(0)}],),
+                        (Matrix([[0, 0], [0, -1]]),))
+    assert spec.right == (({1: Fraction(1, 2)}, {}),)
+    assert spec.left == (({}, {1: Fraction(-1)}),)
+
+
+def test_stored_columns_are_in_row_order():
+    even = SuperAlgebra(even_basis(["a"]), {})
+    spec = BimoduleSpec(even, ("m0", "m1", "m2"),
+                        ([{2: 1, 0: 2, 1: 3}, {}, {1: 1, 0: 1}],),
+                        ([{}, {}, {}],))
+    assert [list(col) for col in spec.right[0]] == [[0, 1, 2], [], [0, 1]]
 
 
 # ---------------------------------------------------------------------------
-# the bimodule checker against the identities evaluated through the matrices
+# the bimodule checker against the identities evaluated action by action
 # ---------------------------------------------------------------------------
 
 
 def reference_bimodule(spec):
-    """Every (m, x, y) and each identity in turn, each action applied as a
-    dense matrix (``Matrix.apply_sparse``)."""
+    """Every (m, x, y) and each identity in turn, each action applied to a
+    vector column by column (``apply``)."""
     A = spec.even
     rho, lam = spec.right, spec.left
 
-    def act(mats, coeffs, vec):  # the action of the even element sum c_k b_k
+    def act(actions, coeffs, vec):  # the action of sum c_k b_k
         out = {}
         for k, c in coeffs.items():
-            out = algebra._vadd(out, mats[k].apply_sparse(vec), c)
+            out = algebra._vadd(out, apply(actions[k], vec), c)
         return out
 
     def violation(identity, triple, res):
@@ -529,30 +607,30 @@ def reference_bimodule(spec):
     for m in range(spec.module_dim):
         unit = {m: ONE}
         for x in range(A.dim):
-            rx = rho[x].apply_sparse(unit)
-            lx = lam[x].apply_sparse(unit)
+            rx = apply(rho[x], unit)
+            lx = apply(lam[x], unit)
             for y in range(A.dim):
                 xy = A.bracket_indices(x, y)
                 triple = (spec.odd_labels[m], A.label(x), A.label(y))
                 # [m,[x,y]] = [[m,x],y] - [[m,y],x]
                 res = algebra._vadd(act(rho, xy, unit),
-                                    rho[y].apply_sparse(rx), -ONE)
+                                    apply(rho[y], rx), -ONE)
                 res = algebra._vadd(
-                    res, rho[x].apply_sparse(rho[y].apply_sparse(unit)))
+                    res, apply(rho[x], apply(rho[y], unit)))
                 if res:
                     bad.append(violation("bimodule-1", triple, res))
                 # [x,[m,y]] = [[x,m],y] - [[x,y],m]
                 res = algebra._vadd(
-                    lam[x].apply_sparse(rho[y].apply_sparse(unit)),
-                    rho[y].apply_sparse(lx), -ONE)
+                    apply(lam[x], apply(rho[y], unit)),
+                    apply(rho[y], lx), -ONE)
                 res = algebra._vadd(res, act(lam, xy, unit))
                 if res:
                     bad.append(violation("bimodule-2", triple, res))
                 # [x,[y,m]] = [[x,y],m] - [[x,m],y]
                 res = algebra._vadd(
-                    lam[x].apply_sparse(lam[y].apply_sparse(unit)),
+                    apply(lam[x], apply(lam[y], unit)),
                     act(lam, xy, unit), -ONE)
-                res = algebra._vadd(res, rho[y].apply_sparse(lx))
+                res = algebra._vadd(res, apply(rho[y], lx))
                 if res:
                     bad.append(violation("bimodule-3", triple, res))
     return bad
@@ -595,6 +673,20 @@ BIMODULE_CASES = (
                          ids=[name for name, _ in BIMODULE_CASES])
 def test_bimodule_checker_matches_the_reference(build):
     assert_bimodule_checker_matches_reference(build())
+
+
+@pytest.mark.parametrize("build", [b for _, b in BIMODULE_CASES],
+                         ids=[name for name, _ in BIMODULE_CASES])
+def test_a_spec_rebuilt_from_matrices_is_the_same_spec(build):
+    spec = build()
+    d = spec.module_dim
+    rebuilt = BimoduleSpec(
+        spec.even, spec.odd_labels,
+        tuple(dense(action, d) for action in spec.right),
+        tuple(dense(action, d) for action in spec.left))
+    assert rebuilt == spec
+    assert repr(check_bimodule_axioms(rebuilt)) == repr(
+        check_bimodule_axioms(spec))
 
 
 def test_bimodule_cases_include_violations():

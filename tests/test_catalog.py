@@ -84,20 +84,20 @@ def test_n1_actions_concrete():
     spec = module_n1(2)
     # right ladder: [x_i, h] = (2-2i) x_i, [x_i, f] = x_{i+1},
     # [x_i, e] = -i(3-i) x_{i-1}; left = -right throughout
-    assert spec.right[H].column(0) == (Fraction(2), 0, 0)
-    assert spec.right[H].column(2) == (0, 0, Fraction(-2))
-    assert spec.right[F].column(0) == (0, Fraction(1), 0)
-    assert spec.right[F].column(2) == (0, 0, 0)
-    assert spec.right[E].column(1) == (Fraction(-2), 0, 0)
+    assert spec.right[H][0] == {0: Fraction(2)}
+    assert spec.right[H][2] == {2: Fraction(-2)}
+    assert spec.right[F][0] == {1: Fraction(1)}
+    assert spec.right[F][2] == {}
+    assert spec.right[E][1] == {0: Fraction(-2)}
     for k in (E, F, H):
-        assert spec.left[k] == spec.right[k].transpose().transpose().__class__(
-            [[-v for v in row] for row in spec.right[k].rows()])
+        assert spec.left[k] == tuple({r: -v for r, v in col.items()}
+                                     for col in spec.right[k])
 
 
 def test_n2_has_zero_left_action():
     spec = module_n2(4)
     for k in (E, F, H):
-        assert all(v == 0 for row in spec.left[k].rows() for v in row)
+        assert spec.left[k] == ({},) * 5
         assert spec.right[k] == module_n1(4).right[k]
 
 
@@ -138,28 +138,28 @@ def test_m1_coupling_terms():
     spec = bimodule_m1(3)
     oy = 4  # y block starts after x_0..x_3
     # [f, x_0] = -x_1 + y_0
-    assert spec.left[F].column(0)[1] == Fraction(-1)
-    assert spec.left[F].column(0)[oy] == Fraction(1)
+    assert spec.left[F][0][1] == Fraction(-1)
+    assert spec.left[F][0][oy] == Fraction(1)
     # [h, x_1] = -(3-2) x_1 - 2 y_0
-    assert spec.left[H].column(1)[1] == Fraction(-1)
-    assert spec.left[H].column(1)[oy] == Fraction(-2)
+    assert spec.left[H][1][1] == Fraction(-1)
+    assert spec.left[H][1][oy] == Fraction(-2)
     # [e, x_2] = 2(3-2+1) x_1 + 2*1 y_0
-    assert spec.left[E].column(2)[1] == Fraction(4)
-    assert spec.left[E].column(2)[oy] == Fraction(2)
+    assert spec.left[E][2][1] == Fraction(4)
+    assert spec.left[E][2][oy] == Fraction(2)
 
 
 def test_m2_coupling_terms():
     spec = bimodule_m2(3)
     oy = 4
     # [h, y_0] = 2(3-1) x_1 - (3-2) y_0
-    assert spec.left[H].column(oy)[1] == Fraction(4)
-    assert spec.left[H].column(oy)[oy] == Fraction(-1)
+    assert spec.left[H][oy][1] == Fraction(4)
+    assert spec.left[H][oy][oy] == Fraction(-1)
     # [f, y_0] = x_2 - y_1
-    assert spec.left[F].column(oy)[2] == Fraction(1)
-    assert spec.left[F].column(oy)[oy + 1] == Fraction(-1)
+    assert spec.left[F][oy][2] == Fraction(1)
+    assert spec.left[F][oy][oy + 1] == Fraction(-1)
     # [e, y_1] = (3-2)((3-1) x_1 + y_0)
-    assert spec.left[E].column(oy + 1)[1] == Fraction(2)
-    assert spec.left[E].column(oy + 1)[oy] == Fraction(1)
+    assert spec.left[E][oy + 1][1] == Fraction(2)
+    assert spec.left[E][oy + 1][oy] == Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +264,20 @@ def test_odd_bracket_table_rejects_conflicts():
     # agreeing duplicates are fine
     t = OddBracketTable.build({(0, 1): {H: 1}, (1, 0): {H: 1}})
     assert t.pairs() == [(0, 1)]
+
+
+@pytest.mark.parametrize("products", [
+    {(0, 1): {H: 0}, (1, 0): {H: 1}},
+    {(1, 0): {H: 1}, (0, 1): {H: 0}},
+    {(0, 1): {}, (1, 0): {E: 2}},
+    {(1, 0): {E: 2}, (0, 1): {}},
+], ids=["zero-first", "zero-second", "empty-first", "empty-second"])
+def test_odd_bracket_table_conflicts_do_not_depend_on_order(products):
+    # a zero value conflicts with a nonzero one for the same pair, in
+    # either order of the two entries
+    with pytest.raises(ValueError,
+                       match=r"conflicting entries for pair \(0, 1\)"):
+        OddBracketTable.build(products)
 
 
 def test_odd_bracket_table_drops_zero_values():

@@ -1,6 +1,5 @@
 """Constraint generation, solving, and the classification pipeline."""
 
-import copy
 import importlib
 import json
 from fractions import Fraction
@@ -140,14 +139,16 @@ def test_classify_validates_before_it_prefilters(monkeypatch, even, build,
                                         "m3:8:3", "m4:6:3"])
 def test_no_consumer_changes_the_cached_columns(identifier):
     spec = resolve(identifier)
-    cached = spec.action_columns
-    snapshot = copy.deepcopy(cached)
+    cached = (spec.right, spec.left)
+    snapshot = [[[dict(col) for col in action] for action in side]
+                for side in cached]
     classify(sl2(), spec)
     classify(sl2(), spec, strict=True)
     annihilator_prefilter(sl2(), spec)
     weight_prefilter(sl2(), spec)
-    assert spec.action_columns is cached
-    assert cached == snapshot
+    assert spec.right is cached[0] and spec.left is cached[1]
+    assert [[[dict(col) for col in action] for action in side]
+            for side in cached] == snapshot
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +286,8 @@ def test_residual_matrix_is_the_linearization(p, q, r):
     coeffs = {"a_0_0": p, "b_0_1": q, "c_1_1": r}
     full = [Fraction(coeffs.get(u.name, 0))
             for u in generate_constraints(sl2(), module_n1(1)).unknowns]
-    predicted = mat.apply(full)
+    predicted = [sum((a * b for a, b in zip(row, full)), Fraction(0))
+                 for row in mat.rows()]
     table = OddBracketTable.build({
         (0, 0): {0: p}, (0, 1): {1: q}, (1, 1): {2: r}})
     alg = assemble(sl2(), module_n1(1), table)
@@ -449,17 +451,23 @@ def conjugated_n1_2():
     """module_n1(2) in the basis x_0, x_0 + x_1, x_1 + x_2, through JSON:
     no even basis vector acts diagonally on it."""
     mod = module_n1(2)
-    p = Matrix([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
-    p_inv = Matrix([[1, -1, 1], [0, 1, -1], [0, 0, 1]])
+    # the columns of the change of basis p and of its inverse
+    p = ({0: 1}, {0: 1, 1: 1}, {1: 1, 2: 1})
+    p_inv = ({0: 1}, {0: -1, 1: 1}, {0: 1, 1: -1, 2: 1})
 
-    def conj(m):
-        return Matrix([[sum(p_inv.entry(i, r) * m.entry(r, s) * p.entry(s, j)
-                            for r in range(3) for s in range(3))
-                        for j in range(3)] for i in range(3)])
+    def apply(action, vec):
+        out = {}
+        for m, c in vec.items():
+            for r, v in action[m].items():
+                out[r] = out.get(r, 0) + c * v
+        return out
+
+    def conj(action):  # p^-1 action p, column by column
+        return [apply(p_inv, apply(action, p[j])) for j in range(3)]
 
     spec = BimoduleSpec(sl2(), mod.odd_labels,
-                        tuple(conj(m) for m in mod.right),
-                        tuple(conj(m) for m in mod.left))
+                        tuple(conj(action) for action in mod.right),
+                        tuple(conj(action) for action in mod.left))
     return module_from_json(assemble(sl2(), spec).to_json())
 
 
@@ -543,7 +551,7 @@ def reference_weight_prefilter(even, mod):
     the even part: one comparison per full unknown, the oracle of the
     bucketed ``weight_prefilter``."""
     ne, nm = even.dim, mod.module_dim
-    rcol, _ = mod.action_columns
+    rcol = mod.right
 
     def diagonal(columns):
         if any(set(col) - {m} for m, col in enumerate(columns)):
