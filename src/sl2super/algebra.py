@@ -19,7 +19,8 @@ residual can be nonzero without enumerating all dim^3 of them:
 pairs directly.
 
 Every check returns a ``ViolationReport``; an empty report means the
-identity holds exactly.  All arithmetic is exact rational.
+identity holds exactly.  All arithmetic is exact: rational, or integer over
+one common denominator in the shared kernel.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from types import MappingProxyType
 
 from .linalg import Matrix, RowSpace, format_scalar, parse_scalar
@@ -444,21 +446,29 @@ def _leibniz_residuals(table: Mapping[tuple[int, int], Vec], odd: list[bool]
     and the pair (b, a), as s(b,a)[[x,z],y].  Every triple left out has all
     three terms empty, so its residual is zero.  Only the pairs of one x are
     held at a time.  Residual keys come in no particular order.
+
+    The sums are taken in integers.  D, the least common multiple of the
+    denominators of every structure constant (1 for an integer table and for
+    an empty one), scales the table to integer numerators; every term is a
+    product of two structure constants, so each accumulated sum is the true
+    residual coordinate times D^2, and is reported as ``Fraction(n, D*D)``.
     """
     dim = len(odd)
-    right: list[list[tuple[int, Vec]]] = [[] for _ in range(dim)]
-    producers: list[list[tuple[int, int, Fraction]]] = [[] for _ in range(dim)]
+    D = lcm(*(c.denominator for vec in table.values() for c in vec.values()))
+    right: list[list[tuple[int, dict[int, int]]]] = [[] for _ in range(dim)]
+    producers: list[list[tuple[int, int, int]]] = [[] for _ in range(dim)]
     for (i, j), vec in table.items():
-        right[i].append((j, vec))
-        for t, c in vec.items():
+        scaled = {t: c.numerator * (D // c.denominator) for t, c in vec.items()}
+        right[i].append((j, scaled))
+        for t, c in scaled.items():
             producers[t].append((i, j, c))
     for x in range(dim):
-        acc: dict[tuple[int, int], Vec] = {}
+        acc: dict[tuple[int, int], dict[int, int]] = {}
         for t, xt in right[x]:
             for y, z, c in producers[t]:
                 row = acc.setdefault((y, z), {})
                 for k, v in xt.items():
-                    row[k] = row.get(k, _ZERO) + c * v
+                    row[k] = row.get(k, 0) + c * v
         for a, xa in right[x]:
             for t, c in xa.items():
                 for b, tb in right[t]:
@@ -467,11 +477,12 @@ def _leibniz_residuals(table: Mapping[tuple[int, int], Vec], odd: list[bool]
                     flip = odd[a] and odd[b]
                     for k, v in tb.items():
                         p = c * v
-                        row_ab[k] = row_ab.get(k, _ZERO) - p
-                        row_ba[k] = (row_ba.get(k, _ZERO) - p if flip
-                                     else row_ba.get(k, _ZERO) + p)
+                        row_ab[k] = row_ab.get(k, 0) - p
+                        row_ba[k] = (row_ba.get(k, 0) - p if flip
+                                     else row_ba.get(k, 0) + p)
         for (y, z) in sorted(acc):
-            residual = {k: v for k, v in acc[(y, z)].items() if v}
+            residual = {k: Fraction(v, D * D)
+                        for k, v in acc[(y, z)].items() if v}
             if residual:
                 yield x, y, z, residual
 
@@ -559,10 +570,10 @@ class BimoduleSpec:
     which is the Leibniz identity of the split extension L ⋉ M
     (``split_extension_table``) on the triples (m,x,y), (x,m,y), (x,y,m).
 
-    A spec is immutable (frozen fields, read-only action columns, an even
-    algebra whose table is private), so the axiom report that
-    ``check_bimodule_axioms`` returns is computed on first use and kept on
-    the instance.
+    A spec is immutable (frozen fields, module labels copied into a tuple,
+    read-only action columns, an even algebra whose table is private), so
+    the axiom report that ``check_bimodule_axioms`` returns is computed on
+    first use and kept on the instance.
     """
 
     even: SuperAlgebra
@@ -573,6 +584,7 @@ class BimoduleSpec:
     def __post_init__(self):
         if not self.even.is_purely_even():
             raise ValueError("the acting algebra must be purely even")
+        object.__setattr__(self, "odd_labels", tuple(self.odd_labels))
         d = len(self.odd_labels)
         if len(set(self.odd_labels)) != d:
             raise ValueError("duplicate module labels")

@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sl2super import algebra
@@ -299,12 +299,22 @@ def reported(report):
     return [(v.identity, v.labels, list(v.residual.items())) for v in report]
 
 
+def assert_fraction_residuals(report):
+    # equality alone would also pass an int or a float residual
+    for v in report:
+        assert all(type(c) is Fraction for c in v.residual.values())
+
+
 def assert_checkers_match_reference(A):
-    assert reported(check_leibniz_super(A)) == reference_leibniz(
+    graded = check_leibniz_super(A)
+    assert reported(graded) == reference_leibniz(
         A, "leibniz-super", graded=True)
     flat = A.forget_grading()
-    assert reported(check_leibniz(flat)) == reference_leibniz(
+    ungraded = check_leibniz(flat)
+    assert reported(ungraded) == reference_leibniz(
         flat, "leibniz", graded=False)
+    assert_fraction_residuals(graded)
+    assert_fraction_residuals(ungraded)
 
 
 def family_member(c, h_scale=1):
@@ -330,7 +340,7 @@ DIFFERENTIAL_CASES = (
     + [("s1", superalgebra_s1), ("s2", superalgebra_s2)]
     + [(f"n1:1-member:{c}:h*{h_scale}",
         lambda c=c, h_scale=h_scale: family_member(c, h_scale))
-       for c in (1, 4, -1, "1/4") for h_scale in (1, 2)]
+       for c in (1, 4, -1, "1/4", "9/4", -3, "2/7") for h_scale in (1, 2)]
 )
 
 
@@ -369,6 +379,48 @@ def graded_tables(draw):
 @given(graded_tables())
 @settings(max_examples=150, deadline=None)
 def test_leibniz_checkers_match_the_reference_on_random_tables(A):
+    assert_checkers_match_reference(A)
+
+
+COPRIME_DENOMINATORS = (1, 2, 3, 7, 11, 13)
+
+
+def coprime_coefficients():
+    """Nonzero rationals whose denominators are drawn from
+    ``COPRIME_DENOMINATORS``, so that a table's common denominator, and its
+    square, is large."""
+    return st.builds(Fraction, st.integers(-30, 30).filter(bool),
+                     st.sampled_from(COPRIME_DENOMINATORS))
+
+
+@st.composite
+def coprime_denominator_tables(draw):
+    """Random graded tables of dim <= 5, as ``graded_tables``, but denser
+    and with coefficients over coprime denominators."""
+    dim = draw(st.integers(0, 5))
+    odd = draw(st.lists(st.booleans(), min_size=dim, max_size=dim))
+    basis = [BasisVector(i, f"b{i}", Parity.ODD if o else Parity.EVEN)
+             for i, o in enumerate(odd)]
+    table = {}
+    for i, j in itertools.product(range(dim), repeat=2):
+        targets = [k for k in range(dim) if odd[k] == (odd[i] != odd[j])]
+        if targets and draw(st.booleans()):
+            ks = draw(st.lists(st.sampled_from(targets), min_size=1,
+                               max_size=3, unique=True))
+            table[(i, j)] = {k: draw(coprime_coefficients()) for k in ks}
+    return SuperAlgebra(basis, table)
+
+
+@given(coprime_denominator_tables())
+@example(SuperAlgebra([], {}))
+@example(SuperAlgebra([BasisVector(0, "b0", Parity.EVEN),
+                       BasisVector(1, "b1", Parity.ODD)], {}))
+# common denominator 1001; the residual at (b0, b0, b1) is 25/11011 b1
+@example(SuperAlgebra(even_basis(["b0", "b1"]), {
+    (0, 0): {0: Fraction(1, 7)}, (0, 1): {1: Fraction(1, 11)},
+    (1, 0): {1: Fraction(1, 13)}}))
+@settings(max_examples=150, deadline=None)
+def test_leibniz_checkers_match_the_reference_on_coprime_denominators(A):
     assert_checkers_match_reference(A)
 
 
@@ -546,6 +598,18 @@ def test_a_spec_copies_its_input():
     assert BimoduleSpec(even, ("m0", "m1"), mats, mats) == spec
 
 
+def test_module_labels_are_stored_as_a_tuple():
+    even = SuperAlgebra(even_basis(["a"]), {})
+    right, left = ([{0: ONE}, {}],), ([{}, {}],)  # [m0, a] = m0
+    labels = ["m0", "m1"]
+    spec = BimoduleSpec(even, labels, right, left)
+    assert type(spec.odd_labels) is tuple
+    labels[1] = "m0"  # would be a duplicate label if it reached the spec
+    assert spec.odd_labels == ("m0", "m1")
+    assert spec == BimoduleSpec(even, ("m0", "m1"), right, left)
+    assert check_bimodule_axioms(spec).ok
+
+
 @pytest.mark.parametrize("action,error", [
     ([{0: 1}], ValueError),                        # one column, not two
     ([{0: 1}, {0: 1}, {}], ValueError),            # three columns
@@ -638,8 +702,9 @@ def reference_bimodule(spec):
 
 def assert_bimodule_checker_matches_reference(spec):
     # list order and residual order both count
-    assert reported(check_bimodule_axioms(spec)) == reported(
-        reference_bimodule(spec))
+    report = check_bimodule_axioms(spec)
+    assert reported(report) == reported(reference_bimodule(spec))
+    assert_fraction_residuals(report)
 
 
 def relabelled(spec, labels):
@@ -706,18 +771,23 @@ def test_colliding_labels_are_checked_but_not_assembled():
 
 @st.composite
 def sl2_actions(draw):
-    """Random sparse rational left and right sl2 actions on a module of
-    dim <= 4; most of them fail the axioms."""
+    """Random sparse rational left and right actions on a module of dim <= 4
+    of sl2, in a basis where [e,f] may be a rational multiple of h; most of
+    them fail the axioms.  Entries have denominators 1, 2, 3 and 7, so the
+    split extension's common denominator ranges over the divisors of 42."""
     d = draw(st.integers(1, 4))
     entries = st.dictionaries(
         st.tuples(st.integers(0, d - 1), st.integers(0, d - 1)),
-        st.sampled_from([Fraction(c) for c in (-2, -1, "-1/2", "1/2", 1, 2)]),
+        st.sampled_from([Fraction(c) for c in (
+            -2, -1, "-1/2", "1/2", 1, 2, "-2/3", "1/3", "-1/7", "5/7")]),
         max_size=d + 1)
 
     def actions():
         return tuple(Matrix.from_entries(d, d, draw(entries)) for _ in range(3))
 
-    return BimoduleSpec(sl2(), tuple(f"m{i}" for i in range(d)),
+    scale = draw(st.sampled_from([ONE, Fraction(1, 3), Fraction(-2, 7)]))
+    return BimoduleSpec(sl2().rescaled([scale, 1, 1]),
+                        tuple(f"m{i}" for i in range(d)),
                         actions(), actions())
 
 
