@@ -24,7 +24,8 @@ from .classify import (Classification, ConstraintRow, ConstraintSystem,
                        alternating_coefficient_rows, annihilator_prefilter,
                        classify, generate_constraints, residual_matrix,
                        solve, symmetric_ladder_hand_system,
-                       verify_rescaling_isomorphism, weight_prefilter)
+                       verify_rescaling_isomorphism,
+                       weight_compatible_unknowns)
 from .linalg import (Matrix, RowSpace, Scalar, format_scalar, nullspace,
                      parse_scalar, rank, rational_sqrt, rref)
 
@@ -44,7 +45,7 @@ __all__ = [
     "alternating_coefficient_rows", "annihilator_prefilter", "classify",
     "generate_constraints", "residual_matrix", "solve",
     "symmetric_ladder_hand_system", "verify_rescaling_isomorphism",
-    "weight_prefilter",
+    "weight_compatible_unknowns",
     "Matrix", "RowSpace", "Scalar", "format_scalar", "nullspace",
     "parse_scalar", "rank", "rational_sqrt", "rref",
     "__version__",

@@ -190,12 +190,11 @@ def bimodule_m2(n: int) -> BimoduleSpec:
 
 
 def _chain_dims(n: int, k: int) -> list[int]:
-    dims = [n - 2 * q + 3 for q in range(1, k + 1)]
     if k < 2:
         raise ValueError("need at least two summands (k >= 2)")
-    if dims[-1] < 1:
+    if n - 2 * k + 3 < 1:
         raise ValueError(f"summand dimensions must stay positive: need n >= {2 * k - 2}")
-    return dims
+    return [n - 2 * q + 3 for q in range(1, k + 1)]
 
 
 def _chain_layout(n: int, k: int):
@@ -610,11 +609,38 @@ ERRATA: tuple[Erratum, ...] = (
 # ---------------------------------------------------------------------------
 
 
+#: The largest module dimension ``resolve`` builds.  A larger id is refused
+#: before anything is built, since classifying it or printing its table
+#: takes time and memory that grow with the dimension.  The largest module
+#: the tests, CI, demos and benchmark use is m1:192, of dimension 384.
+MAX_MODULE_DIM = 2048
+
+
+def module_dim(name: str, *params: int) -> int:
+    """Dimension of the catalog module ``name`` with ``params``, from the
+    parameters alone: n+1 for n1/n2:<n>, 2n for m1/m2:<n>, and k(n+2-k),
+    the sum of the summand dimensions n-2q+3, for m3/m4:<n>:<k>."""
+    if name in ("n1", "n2"):
+        return params[0] + 1
+    if name in ("m1", "m2"):
+        return 2 * params[0]
+    n, k = params
+    return k * (n + 2 - k)
+
+
+def _check_module_dim(identifier: str, name: str, params: list[int]) -> None:
+    dim = module_dim(name, *params)
+    if dim > MAX_MODULE_DIM:
+        raise ValueError(f"{identifier} would have module dimension {dim}, "
+                         f"over the limit of {MAX_MODULE_DIM}")
+
+
 def resolve(identifier: str, verbatim: bool = False):
     """Map a catalog id to a SuperAlgebra or BimoduleSpec.
 
     Ids: sl2, s1, s2, n1:<n>, n2:<n>, m1:<n>, m2:<n>, m3:<n>:<k>, m4:<n>:<k>.
-    ``verbatim`` selects the as-printed variants of m3/m4.
+    ``verbatim`` selects the as-printed variants of m3/m4.  A module id of
+    dimension over ``MAX_MODULE_DIM`` raises ValueError.
     """
     parts = identifier.split(":")
     name, args = parts[0], parts[1:]
@@ -632,10 +658,12 @@ def resolve(identifier: str, verbatim: bool = False):
     if name in one_param:
         if len(params) != 1:
             raise ValueError(f"{name} takes exactly one parameter, e.g. {name}:2")
+        _check_module_dim(identifier, name, params)
         return one_param[name](params[0])
     if name in ("m3", "m4"):
         if len(params) != 2:
             raise ValueError(f"{name} takes two parameters, e.g. {name}:6:2")
+        _check_module_dim(identifier, name, params)
         builder = bimodule_m3 if name == "m3" else bimodule_m4
         return builder(params[0], params[1], verbatim=verbatim)
     raise ValueError(f"unknown catalog id {identifier!r}")

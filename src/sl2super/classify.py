@@ -21,31 +21,34 @@ independent cross-check of the symbolic route.
 
 Two prefilters shrink the system before it is generated.
 ``annihilator_prefilter`` flags odd positions whose products all vanish.
-``weight_prefilter`` zeroes the unknowns that the weights of a diagonally
-acting even basis vector (h, over sl2) force to vanish; on the catalog
-modules that leaves a few percent of the unknowns, and the generator visits
-only the triples that can touch one of them.  ``classify`` writes the
-solution of the reduced system back in full coordinates, where it equals
-the solution of the unreduced system exactly.
+``weight_compatible_unknowns`` names the unknowns that the weights of a
+diagonally acting even basis vector (h, over sl2) leave free; on the catalog
+modules that is a few percent of them, and the generator keeps only those.
+``classify`` keeps the solution of the reduced system and writes it in full
+coordinates, where it equals the solution of the unreduced system exactly,
+only when those are read.
 
 All three read the module actions as the spec stores them, as read-only
 sparse columns (``BimoduleSpec.right`` and ``left``).  The generator
 indexes the kept unknowns once by odd pair.  Each identity term of a
 triple reads one odd pair, so the generator takes the kept unknowns of that
-pair from the index and composes only those with the known actions; a term
-whose pair keeps no unknown costs one lookup.
+pair from the index and composes only those with the known actions.
 
-After the weight filter nearly every row the triples give is a unit row
-U = 0, derived again by dozens of triples, so the generator skips the
-triples that can only repeat one.  A triple of three odd members whose
-pairs keep a single unknown between them gives only multiples of that
-unknown's unit row, so it is skipped once that row is in the system.  For a
-prefix (u, v) whose ordered pair keeps exactly one unknown, every third
-member w that keeps nothing with u or v reads that unknown alone; only the
-first such w with a nonzero row is visited.  Neither skip drops a row the
-deduplication would keep, so the system is the same, row for row; when
-every pair keeps all its kinds (no weight filter, or ``strict``) neither
-fires.  Rows are deduplicated by their primitive integer vectors.
+The generator does not walk the basis triples: it enumerates, from each
+kept pair, the triples that read it, and composes those in triple order.
+These are the mixed triples that read the pair directly or through an
+action, found from the preimages of the actions, and the all-odd triples
+whose third member keeps an unknown with one of the pair.  After the weight
+filter a pair keeps a single unknown, and an all-odd triple that reads that
+pair and nothing else gives only the unknown's unit row U = 0, so of those
+only the first with a nonzero row, per place of the pair in the triple, is
+enumerated; an all-odd triple whose pairs keep a single unknown between
+them is skipped once that unit row is in the system.
+Neither shortcut drops a row the deduplication would keep, so the system is
+the same, row for row, and the work follows the kept pairs rather than the
+dimension.  When every pair keeps all its kinds (no weight filter, or
+``strict``) every triple that reads a kept pair is enumerated.  Rows are
+deduplicated by their primitive integer vectors.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from .algebra import (BimoduleSpec, SuperAlgebra, Vec, check_bimodule_axioms,
@@ -210,7 +214,7 @@ def _check_preconditions(even: SuperAlgebra, mod: BimoduleSpec) -> None:
 def generate_constraints(even: SuperAlgebra, mod: BimoduleSpec,
                          symmetric: bool = True,
                          zero_odd_indices: frozenset[int] = frozenset(),
-                         zero_unknowns: frozenset[UnknownId] = frozenset()
+                         keep_unknowns: frozenset[UnknownId] | None = None
                          ) -> ConstraintSystem:
     """Expand the superidentity over the ordered basis triples with two or
     three odd members into linear rows over the unknown odd products.
@@ -220,27 +224,33 @@ def generate_constraints(even: SuperAlgebra, mod: BimoduleSpec,
     ``symmetric=False`` the two orders are independent unknowns and the
     solver itself must force their equality.  ``zero_odd_indices`` pre-zeroes
     every product touching those odd basis positions (used with
-    ``annihilator_prefilter``).  ``zero_unknowns`` leaves those unknowns out
-    of the system (used with ``weight_prefilter``); unknowns it names that
-    the system does not have are ignored.
+    ``annihilator_prefilter``).  ``keep_unknowns``, when given, keeps only
+    the unknowns it names and leaves every other one out of the system
+    (used with ``weight_compatible_unknowns``); unknowns it names that the
+    system does not have are ignored.
 
     Rows come in lexicographic triple order, components ascending within a
-    triple, and each row restricted to the unknowns kept.  Only triples
-    that read a pair of odd positions carrying a kept unknown are visited;
-    the others would give empty rows.  Within a triple, each term starts
-    from the pair index ``kinds[(i, j)]``, the kind and position of every
-    kept unknown U_kind(i, j) (both orders of a pair share one entry when
-    ``symmetric``), so only kept unknowns are ever composed with an action.
+    triple, and each row restricted to the unknowns kept.  Each term of a
+    triple reads one ordered pair of odd positions, and the pair index
+    ``kinds[(i, j)]`` holds the kind and position of every kept unknown
+    U_kind(i, j) (both orders of a pair share one entry when ``symmetric``),
+    so only kept unknowns are ever composed with an action.
 
-    Two kinds of all-odd triple are not composed at all, because all they
-    could add is a repeat.  A triple whose three pairs keep one unknown p
-    between them gives rows with p alone, each a multiple of p's unit row,
-    and is skipped when that row is already kept.  For a prefix (u, v)
-    whose ordered pair keeps the one unknown U_k(u, v), a third member w
-    that keeps no unknown with u or v gives -[e_k, w] U_k(u, v): only the
-    first such w with [e_k, w] != 0 is visited, the later ones repeat its
-    unit row.  The first occurrence of every row is still visited, so rows,
-    order and provenance are those of the unskipped expansion.
+    The triples are not walked; they are enumerated from the kept pairs.
+    For each kept ordered pair (i, j) the candidates are the mixed triples
+    that read it, directly or through an action (found from the preimage
+    indexes ``lpre`` and ``rpre`` of the left and right actions), and the
+    all-odd triples (i,j,w), (w,i,j) and (i,w,j) for every third member w
+    that keeps an unknown with i or j, or for every w when the pair keeps
+    more than one kind.  Any other triple reads no kept pair, or reads a
+    pair with a single kept unknown U and nothing else: its rows are
+    multiples of U's unit row, so of those only the first with a nonzero
+    row, per place of the pair in the triple, is a candidate.  The
+    candidates are composed in sorted order, and an all-odd triple whose
+    pairs keep one unknown p between them is skipped once p's unit row is
+    kept.  So rows, order and provenance are those of the full expansion,
+    at a cost that follows the kept pairs and their fan-out through the
+    actions, not the dimension.
     """
     _check_preconditions(even, mod)
     ne, nm = even.dim, mod.module_dim
@@ -248,8 +258,15 @@ def generate_constraints(even: SuperAlgebra, mod: BimoduleSpec,
     if any(not 0 <= z < nm for z in zero):
         raise ValueError("zero_odd_indices out of module range")
 
-    unknowns = tuple(u for u in _full_unknowns(ne, nm, symmetric, zero)
-                     if u not in zero_unknowns)
+    if keep_unknowns is None:
+        unknowns = _full_unknowns(ne, nm, symmetric, zero)
+    else:
+        unknowns = tuple(sorted(
+            (u for u in keep_unknowns
+             if 0 <= u.kind < ne and 0 <= u.i < nm and 0 <= u.j < nm
+             and u.i not in zero and u.j not in zero
+             and (u.i <= u.j or not symmetric)),
+            key=lambda u: (u.kind, u.i, u.j)))
     # kinds[(i, j)] = (kind, position) of every kept unknown U_kind(i, j);
     # with ``symmetric`` the two orders of a pair share one list
     kinds: dict[tuple[int, int], list[tuple[int, int]]] = {}
@@ -267,51 +284,68 @@ def generate_constraints(even: SuperAlgebra, mod: BimoduleSpec,
     for i, j in kinds:
         touch[i].add(j)
         touch[j].add(i)
-    # lpre[a][m] = odd positions x such that [e_a, x] has an x_m component
+    # lpre[a][m] (rpre[a][m]) = odd positions x such that [e_a, x] ([x, e_a])
+    # has an x_m component
     lpre: list[list[set[int]]] = [[set() for _ in range(nm)]
+                                  for _ in range(ne)]
+    rpre: list[list[set[int]]] = [[set() for _ in range(nm)]
                                   for _ in range(ne)]
     for a in range(ne):
         for x in range(nm):
             for m in lcol[a][x]:
                 lpre[a][m].add(x)
-    # lsup[k] = odd positions w, ascending, with [e_k, w] != 0
+            for m in rcol[a][x]:
+                rpre[a][m].add(x)
+    # lsup[k] (rsup[k]) = odd positions w, ascending, with [e_k, w] != 0
+    # ([w, e_k] != 0)
     lsup = [[w for w in range(nm) if lcol[k][w]] for k in range(ne)]
+    rsup = [[w for w in range(nm) if rcol[k][w]] for k in range(ne)]
 
-    def thirds(t0: int, t1: int) -> list[int]:
-        """Third members, ascending, of the triples (t0, t1, t2) whose rows
-        can involve a kept unknown.  The branches below read, in odd
-        positions, the pairs listed per case; L and R are the supports of
-        the left and right images."""
-        if t0 < ne and t1 < ne:
-            return []
-        if t0 < ne or t1 < ne:
-            # (a,u,v): {u,v}, {L_a u, v}, {L_a v, u}
-            # (u,a,v): {u,v}, {R_a u, v}, {L_a v, u}
-            a, u = (t0, t1 - ne) if t0 < ne else (t1, t0 - ne)
-            images = lcol[a][u] if t0 < ne else rcol[a][u]
-            vs = touch[u].union(*(touch[m] for m in images),
-                                *(lpre[a][m] for m in touch[u]))
-            return [ne + v for v in sorted(vs)]
-        u, v = t0 - ne, t1 - ne
-        if not touch[u] and not touch[v]:
-            return []
-        # (u,v,a): {u,v}, {u, R_a v}, {R_a u, v}
-        evens = [a for a in range(ne)
-                 if v in touch[u] or not touch[u].isdisjoint(rcol[a][v])
-                 or not touch[v].isdisjoint(rcol[a][u])]
-        # (u,v,w): {u,v}, {v,w}, {u,w}; a w outside ``near`` reads only the
-        # ordered pair (u,v), through [[u,v],w]
-        near = touch[u] | touch[v]
-        ks = kinds.get((u, v), ())
+    # candidate triples (t0, t1, t2) of basis positions, the even basis
+    # first, coded as t0 * dim2 + t1 * dim + t2: the codes sort as the
+    # triples do, and are cheaper to collect than tuples
+    dim = ne + nm
+    dim2 = dim * dim
+    candidates: set[int] = set()
+    add = candidates.add
+    for (i, j), ks in kinds.items():
+        oi, oj = ne + i, ne + j
+        for a in range(ne):
+            # (a,u,v) reads (u,v), ([a,u],v), ([a,v],u); (u,a,v) reads
+            # (u,[a,v]), ([u,a],v), (u,v); (u,v,a) reads (u,[v,a]), (u,v),
+            # ([u,a],v)
+            add(a * dim2 + oi * dim + oj)
+            add(oi * dim2 + a * dim + oj)
+            add(oi * dim2 + oj * dim + a)
+            for x in lpre[a][i]:
+                add(a * dim2 + (ne + x) * dim + oj)
+                add(a * dim2 + oj * dim + ne + x)
+            for x in lpre[a][j]:
+                add(oi * dim2 + a * dim + ne + x)
+            for x in rpre[a][i]:
+                add((ne + x) * dim2 + a * dim + oj)
+                add((ne + x) * dim2 + oj * dim + a)
+            for x in rpre[a][j]:
+                add(oi * dim2 + (ne + x) * dim + a)
+        # (i,j,w) and (i,w,j) read (i,j) through [[i,j],w], (w,i,j) through
+        # [w,[i,j]]; a w outside ``near`` reads no other kept pair
+        near = range(nm) if len(ks) > 1 else touch[i] | touch[j]
+        for w in near:
+            ow = ne + w
+            add(oi * dim2 + oj * dim + ow)
+            add(ow * dim2 + oi * dim + oj)
+            add(oi * dim2 + ow * dim + oj)
         if len(ks) == 1:
-            # every such w gives the unit row of the one unknown: keep the
-            # first w whose row is nonzero, the rest only repeat it
-            far = next((w for w in lsup[ks[0][0]] if w not in near), None)
+            # every far w gives a multiple of the one unknown's unit row:
+            # keep the first w of each form whose row is nonzero
+            k = ks[0][0]
+            far = next((w for w in lsup[k] if w not in near), None)
             if far is not None:
-                near = near | {far}
-        elif ks:
-            return evens + [ne + w for w in range(nm)]
-        return evens + [ne + w for w in sorted(near)]
+                add(oi * dim2 + oj * dim + ne + far)
+                add(oi * dim2 + (ne + far) * dim + oj)
+            far = next((w for w in rsup[k] if w not in near), None)
+            if far is not None:
+                add((ne + far) * dim2 + oi * dim + oj)
 
     labels = [even.label(i) for i in range(ne)] + list(mod.odd_labels)
     even_labels = labels[:ne]
@@ -335,59 +369,58 @@ def generate_constraints(even: SuperAlgebra, mod: BimoduleSpec,
         for comp in sorted(acc):
             collector.add(acc[comp], triple, comp_labels[comp])
 
-    dim = ne + nm
-    for t0 in range(dim):
-        for t1 in range(dim):
-            for t2 in thirds(t0, t1):
-                triple = (labels[t0], labels[t1], labels[t2])
-                if t0 >= ne and t1 >= ne and t2 >= ne:
-                    u, v, w = t0 - ne, t1 - ne, t2 - ne
-                    kvw = kinds.get((v, w), ())
-                    kuv = kinds.get((u, v), ())
-                    kuw = kinds.get((u, w), ())
-                    # a triple that reads one unknown only can give nothing
-                    # but that unknown's unit row: skip it once that is kept
-                    ps = {p for ks in (kvw, kuv, kuw) for _, p in ks}
-                    if len(ps) == 1 and ((ps.pop(), 1),) in seen:
-                        continue
-                    # residual = [u,[v,w]] - [[u,v],w] - [[u,w],v], odd vector
-                    terms = [(r, p, cf) for k, p in kvw
-                             for r, cf in rcol[k][u].items()]
-                    terms += [(r, p, -cf) for k, p in kuv
-                              for r, cf in lcol[k][w].items()]
-                    terms += [(r, p, -cf) for k, p in kuw
-                              for r, cf in lcol[k][v].items()]
-                    emit(triple, odd_labels, terms)
-                elif t0 < ne:
-                    a, u, v = t0, t1 - ne, t2 - ne
-                    # residual = [a,U(u,v)] - U([a,u],v) - U([a,v],u)
-                    terms = [(t, p, cf) for k, p in kinds.get((u, v), ())
-                             for t, cf in ebr[a][k].items()]
-                    terms += [(t, p, -cm) for m, cm in lcol[a][u].items()
-                              for t, p in kinds.get((m, v), ())]
-                    terms += [(t, p, -cm) for m, cm in lcol[a][v].items()
-                              for t, p in kinds.get((m, u), ())]
-                    emit(triple, even_labels, terms)
-                elif t1 < ne:
-                    u, a, v = t0 - ne, t1, t2 - ne
-                    # residual = U(u,[a,v]) - U([u,a],v) + [U(u,v),a]
-                    terms = [(t, p, cm) for m, cm in lcol[a][v].items()
-                             for t, p in kinds.get((u, m), ())]
-                    terms += [(t, p, -cm) for m, cm in rcol[a][u].items()
-                              for t, p in kinds.get((m, v), ())]
-                    terms += [(t, p, cf) for k, p in kinds.get((u, v), ())
-                              for t, cf in ebr[k][a].items()]
-                    emit(triple, even_labels, terms)
-                else:
-                    u, v, a = t0 - ne, t1 - ne, t2
-                    # residual = U(u,[v,a]) - [U(u,v),a] + U([u,a],v)
-                    terms = [(t, p, cm) for m, cm in rcol[a][v].items()
-                             for t, p in kinds.get((u, m), ())]
-                    terms += [(t, p, -cf) for k, p in kinds.get((u, v), ())
-                              for t, cf in ebr[k][a].items()]
-                    terms += [(t, p, cm) for m, cm in rcol[a][u].items()
-                              for t, p in kinds.get((m, v), ())]
-                    emit(triple, even_labels, terms)
+    for code in sorted(candidates):
+        t0, rest = divmod(code, dim2)
+        t1, t2 = divmod(rest, dim)
+        triple = (labels[t0], labels[t1], labels[t2])
+        if t0 >= ne and t1 >= ne and t2 >= ne:
+            u, v, w = t0 - ne, t1 - ne, t2 - ne
+            kvw = kinds.get((v, w), ())
+            kuv = kinds.get((u, v), ())
+            kuw = kinds.get((u, w), ())
+            # a triple that reads one unknown only can give nothing but
+            # that unknown's unit row: skip it once that is kept
+            ps = {p for ks in (kvw, kuv, kuw) for _, p in ks}
+            if len(ps) == 1 and ((ps.pop(), 1),) in seen:
+                continue
+            # residual = [u,[v,w]] - [[u,v],w] - [[u,w],v], odd vector
+            terms = [(r, p, cf) for k, p in kvw
+                     for r, cf in rcol[k][u].items()]
+            terms += [(r, p, -cf) for k, p in kuv
+                      for r, cf in lcol[k][w].items()]
+            terms += [(r, p, -cf) for k, p in kuw
+                      for r, cf in lcol[k][v].items()]
+            emit(triple, odd_labels, terms)
+        elif t0 < ne:
+            a, u, v = t0, t1 - ne, t2 - ne
+            # residual = [a,U(u,v)] - U([a,u],v) - U([a,v],u)
+            terms = [(t, p, cf) for k, p in kinds.get((u, v), ())
+                     for t, cf in ebr[a][k].items()]
+            terms += [(t, p, -cm) for m, cm in lcol[a][u].items()
+                      for t, p in kinds.get((m, v), ())]
+            terms += [(t, p, -cm) for m, cm in lcol[a][v].items()
+                      for t, p in kinds.get((m, u), ())]
+            emit(triple, even_labels, terms)
+        elif t1 < ne:
+            u, a, v = t0 - ne, t1, t2 - ne
+            # residual = U(u,[a,v]) - U([u,a],v) + [U(u,v),a]
+            terms = [(t, p, cm) for m, cm in lcol[a][v].items()
+                     for t, p in kinds.get((u, m), ())]
+            terms += [(t, p, -cm) for m, cm in rcol[a][u].items()
+                      for t, p in kinds.get((m, v), ())]
+            terms += [(t, p, cf) for k, p in kinds.get((u, v), ())
+                      for t, cf in ebr[k][a].items()]
+            emit(triple, even_labels, terms)
+        else:
+            u, v, a = t0 - ne, t1 - ne, t2
+            # residual = U(u,[v,a]) - [U(u,v),a] + U([u,a],v)
+            terms = [(t, p, cm) for m, cm in rcol[a][v].items()
+                     for t, p in kinds.get((u, m), ())]
+            terms += [(t, p, -cf) for k, p in kinds.get((u, v), ())
+                      for t, cf in ebr[k][a].items()]
+            terms += [(t, p, cm) for m, cm in rcol[a][u].items()
+                      for t, p in kinds.get((m, v), ())]
+            emit(triple, even_labels, terms)
 
     return ConstraintSystem(unknowns, tuple(collector.rows))
 
@@ -447,10 +480,10 @@ def annihilator_prefilter(even: SuperAlgebra, mod: BimoduleSpec
                      if rs.contains({m: Fraction(1)}))
 
 
-def weight_prefilter(even: SuperAlgebra, mod: BimoduleSpec
-                     ) -> frozenset[UnknownId]:
-    """Symmetric unknowns forced to vanish by the weights of an even basis
-    vector that acts diagonally.
+def weight_compatible_unknowns(even: SuperAlgebra, mod: BimoduleSpec
+                               ) -> frozenset[UnknownId]:
+    """Symmetric unknowns that the weights of the even basis vectors acting
+    diagonally leave free; every other unknown vanishes in every solution.
 
     When the right action of even basis vector e_a is diagonal on the module,
     [x_m, e_a] = l_m x_m, and on the even part, [e_k, e_a] = u_k e_k, the
@@ -458,12 +491,14 @@ def weight_prefilter(even: SuperAlgebra, mod: BimoduleSpec
     (l_i + l_j - u_k) U_k(i,j) = 0.  Every unknown U_k(i,j) with
     l_i + l_j != u_k therefore vanishes in every solution.  Over sl2 the
     vector h qualifies on every catalog module (its weight decomposition);
-    on a module where no even basis vector acts diagonally the set is empty.
-    The unknowns are keyed by unordered pairs, for the symmetric regime.
+    on a module where no even basis vector acts diagonally every unknown is
+    kept.  The unknowns are keyed by unordered pairs, i <= j, for the
+    symmetric regime.
 
     The odd indices are bucketed by weight, so the unknowns that match come
-    from the bucket of u_k - l_i for each kind k and index i; the result is
-    the rest, the unknowns that some diagonal vector fails to match.
+    from the bucket of u_k - l_i for each kind k and index i, and the result
+    is those matching every diagonal vector: its cost follows the unknowns
+    kept, not the ones left out.
     """
     ne, nm = even.dim, mod.module_dim
     rcol = mod.right
@@ -482,9 +517,8 @@ def weight_prefilter(even: SuperAlgebra, mod: BimoduleSpec
                     for j in bucket.get(mu[k] - lam[i], ()) if j >= i}
         kept = matching if kept is None else kept & matching
     if kept is None:
-        return frozenset()
-    return frozenset(UnknownId(k, i, j) for k in range(ne) for i in range(nm)
-                     for j in range(i, nm) if (k, i, j) not in kept)
+        return frozenset(_full_unknowns(ne, nm))
+    return frozenset(UnknownId(k, i, j) for k, i, j in kept)
 
 
 def _diagonal(columns: Sequence[Vec]) -> list[Fraction] | None:
@@ -501,7 +535,8 @@ def _embed_solution(sol: SolutionSpace, unknowns: tuple[UnknownId, ...]
     in the coordinates of the system over all of them.
 
     Valid when the unit row of every left-out unknown lies in the row space
-    of the larger system, as for ``weight_prefilter``.  Then its reduced
+    of the larger system, as for the unknowns that
+    ``weight_compatible_unknowns`` leaves out.  Then its reduced
     echelon form is those unit rows plus the solved one: left-out unknowns
     are pivots with coordinate 0 in every kernel vector, and the rank grows
     by their number.
@@ -532,9 +567,12 @@ def _full_unknowns(ne: int, nm: int, symmetric: bool = True,
 
 def _products_from_vector(unknowns: tuple[UnknownId, ...],
                           vector: tuple[Fraction, ...]) -> OddBracketTable:
+    """The odd products of a solution vector, read from its unknowns with
+    i <= j: over ordered unknowns the other order carries the same value
+    once symmetry has emerged."""
     products: dict[tuple[int, int], dict[int, Fraction]] = {}
     for u, val in zip(unknowns, vector):
-        if val == 0:
+        if val == 0 or u.i > u.j:
             continue
         products.setdefault((u.i, u.j), {})[u.kind] = val
     return OddBracketTable.build(products)
@@ -542,21 +580,50 @@ def _products_from_vector(unknowns: tuple[UnknownId, ...],
 
 @dataclass(frozen=True)
 class Classification:
-    """Solution space plus assembled, re-verified representative tables."""
+    """Solution space plus assembled, re-verified representative tables.
 
-    unknowns: tuple[UnknownId, ...]
-    vectors: tuple[tuple[Fraction, ...], ...]
-    solution: SolutionSpace
+    ``system`` is the system actually solved and ``reduced`` its canonical
+    solution.  The full coordinates are built the first time they are read,
+    since their size grows with the square of the module dimension:
+    ``unknowns`` (every symmetric unknown), ``vectors`` (the kernel basis
+    over them) and ``solution`` (the solution of the system with only the
+    ``filtered`` positions left out)."""
+
     system: ConstraintSystem
+    reduced: SolutionSpace
     representatives: tuple[SuperAlgebra, ...]
     names: tuple[str, ...]
     filtered: frozenset[int]
     strict: bool
     symmetry_emerged: bool | None
+    even_dim: int
+    module_dim: int
+
+    @cached_property
+    def unknowns(self) -> tuple[UnknownId, ...]:
+        return _full_unknowns(self.even_dim, self.module_dim)
+
+    @cached_property
+    def vectors(self) -> tuple[tuple[Fraction, ...], ...]:
+        fpos = {u: p for p, u in enumerate(self.unknowns)}
+        vectors = []
+        for vec in self.reduced.vectors:
+            out = [Fraction(0)] * len(fpos)
+            for u, val in zip(self.system.unknowns, vec):
+                # over ordered unknowns (strict) i > j repeats i < j
+                if val != 0 and u.i <= u.j:
+                    out[fpos[u]] = val
+            vectors.append(tuple(out))
+        return tuple(vectors)
+
+    @cached_property
+    def solution(self) -> SolutionSpace:
+        return _embed_solution(self.reduced, _full_unknowns(
+            self.even_dim, self.module_dim, not self.strict, self.filtered))
 
     @property
     def dimension(self) -> int:
-        return len(self.vectors)
+        return len(self.reduced.vectors)
 
     def summary_line(self) -> str:
         if self.dimension == 0:
@@ -593,14 +660,15 @@ def classify(even: SuperAlgebra, mod: BimoduleSpec, prefilter: bool = True,
     """Determine every odd-times-odd product table compatible with the
     superidentity over the given skeleton.
 
-    ``prefilter`` applies ``annihilator_prefilter`` and ``weight_prefilter``
-    before generating; ``system`` is then the smaller system actually
-    solved.  ``solution`` is always that of the system with only the
-    annihilator-flagged positions left out, bit for bit: the
-    weight-zeroed unknowns come back as pivots with coordinate 0.
+    ``prefilter`` applies ``annihilator_prefilter`` and
+    ``weight_compatible_unknowns`` before generating; ``system`` is then the
+    smaller system actually solved, and ``reduced`` its solution.
+    ``solution`` is always that of the system with only the
+    annihilator-flagged positions left out, bit for bit: the unknowns the
+    weights leave out come back as pivots with coordinate 0.
 
-    Returns the canonical solution space embedded in full symmetric
-    coordinates, plus representative superalgebras: the zero-product table
+    Returns the canonical solution space, in full symmetric coordinates
+    when read, plus representative superalgebras: the zero-product table
     and, per solution-space basis vector, the table at parameter 1.  Every
     representative is assembled and re-verified through
     ``check_leibniz_super``; a failure there would mean the generator and
@@ -617,15 +685,11 @@ def classify(even: SuperAlgebra, mod: BimoduleSpec, prefilter: bool = True,
     _check_preconditions(even, mod)
     filters = prefilter and not strict
     filtered = annihilator_prefilter(even, mod) if filters else frozenset()
-    zeroed = weight_prefilter(even, mod) if filters else frozenset()
+    kept = weight_compatible_unknowns(even, mod) if filters else None
     system = generate_constraints(even, mod, symmetric=not strict,
                                   zero_odd_indices=filtered,
-                                  zero_unknowns=zeroed)
-    ne, nm = even.dim, mod.module_dim
-    sol = _embed_solution(solve(system),
-                          _full_unknowns(ne, nm, not strict, filtered))
-    full = _full_unknowns(ne, nm)
-    fpos = {(u.kind, u.i, u.j): p for p, u in enumerate(full)}
+                                  keep_unknowns=kept)
+    sol = solve(system)
 
     symmetry_emerged: bool | None = None
     if strict:
@@ -639,18 +703,10 @@ def classify(even: SuperAlgebra, mod: BimoduleSpec, prefilter: bool = True,
                 "strict mode produced an order-dependent solution; "
                 "representatives require symmetric products")
 
-    vectors = []
-    for vec in sol.vectors:
-        out = [Fraction(0)] * len(full)
-        for p, u in enumerate(sol.unknowns):
-            if vec[p] == 0 or (strict and u.i > u.j):
-                continue
-            out[fpos[(u.kind, u.i, u.j)]] = vec[p]
-        vectors.append(tuple(out))
-
     reps = [assemble(even, mod)]
-    for vec in vectors:
-        reps.append(assemble(even, mod, _products_from_vector(full, vec)))
+    for vec in sol.vectors:
+        reps.append(assemble(even, mod,
+                             _products_from_vector(sol.unknowns, vec)))
     for rep in reps:
         report = check_leibniz_super(rep)
         if not report.ok:
@@ -668,8 +724,8 @@ def classify(even: SuperAlgebra, mod: BimoduleSpec, prefilter: bool = True,
         else:
             names.append("zero" if idx == 0 else f"P{idx}")
 
-    return Classification(full, tuple(vectors), sol, system, tuple(reps),
-                          tuple(names), filtered, strict, symmetry_emerged)
+    return Classification(system, sol, tuple(reps), tuple(names), filtered,
+                          strict, symmetry_emerged, even.dim, mod.module_dim)
 
 
 def residual_matrix(even: SuperAlgebra, mod: BimoduleSpec

@@ -21,7 +21,8 @@ import sys
 from .algebra import (BimoduleSpec, Element, SuperAlgebra,
                       check_bimodule_axioms, check_leibniz,
                       check_leibniz_super, right_annihilator)
-from .catalog import CATALOG_IDS, ERRATA, assemble, resolve
+from .catalog import (CATALOG_IDS, ERRATA, MAX_MODULE_DIM, assemble,
+                      module_dim, resolve)
 from .classify import InvalidStructure, annihilator_prefilter, classify
 
 EXIT_OK = 0
@@ -173,6 +174,13 @@ def _parse_grid(family: str, grid: str) -> list[str]:
                 lo_i, hi_i = int(lo), int(hi)
             except ValueError:
                 raise _UsageError(f"bad grid range {part!r}") from None
+            # bound the range before expanding it: the module dimension
+            # grows with n, and a negative n names no module
+            if (lo_i < -MAX_MODULE_DIM
+                    or module_dim(family, hi_i) > MAX_MODULE_DIM):
+                raise _UsageError(
+                    f"grid range {part!r} goes past the module dimension "
+                    f"limit of {MAX_MODULE_DIM}")
             ids.extend(f"{family}:{n}" for n in range(lo_i, hi_i + 1))
         elif ":" in part:
             if not two_param:

@@ -36,7 +36,7 @@ from sl2super.classify import (
     solve,
     symmetric_ladder_hand_system,
     verify_rescaling_isomorphism,
-    weight_prefilter,
+    weight_compatible_unknowns,
 )
 from sl2super.cli import main
 from sl2super.linalg import Matrix, RowSpace
@@ -123,7 +123,7 @@ def test_classify_validates_before_it_prefilters(monkeypatch, even, build,
                                                  match):
     module = importlib.import_module("sl2super.classify")
     ran = []
-    for name in ("annihilator_prefilter", "weight_prefilter"):
+    for name in ("annihilator_prefilter", "weight_compatible_unknowns"):
         def counted(*args, _name=name, _run=getattr(module, name)):
             ran.append(_name)
             return _run(*args)
@@ -132,7 +132,7 @@ def test_classify_validates_before_it_prefilters(monkeypatch, even, build,
         classify(even, build())
     assert ran == []
     classify(sl2(), module_n1(2))  # the wrappers do count a valid module
-    assert ran == ["annihilator_prefilter", "weight_prefilter"]
+    assert ran == ["annihilator_prefilter", "weight_compatible_unknowns"]
 
 
 @pytest.mark.parametrize("identifier", ["n1:3", "n2:2", "m1:4", "m2:4",
@@ -145,7 +145,7 @@ def test_no_consumer_changes_the_cached_columns(identifier):
     classify(sl2(), spec)
     classify(sl2(), spec, strict=True)
     annihilator_prefilter(sl2(), spec)
-    weight_prefilter(sl2(), spec)
+    weight_compatible_unknowns(sl2(), spec)
     assert spec.right is cached[0] and spec.left is cached[1]
     assert [[[dict(col) for col in action] for action in side]
             for side in cached] == snapshot
@@ -243,7 +243,8 @@ def test_generated_rows_are_the_distinct_residual_rows(identifier):
                    sl2(), mod,
                    zero_odd_indices=annihilator_prefilter(sl2(), mod)),
                generate_constraints(
-                   sl2(), mod, zero_unknowns=weight_prefilter(sl2(), mod))):
+                   sl2(), mod,
+                   keep_unknowns=weight_compatible_unknowns(sl2(), mod))):
         assert [(r.coeffs, r.triple, r.component) for r in cs.rows] == (
             distinct_rows(residual_rows, cs.unknowns))
 
@@ -524,7 +525,8 @@ def test_weight_filtered_classification_equals_the_full_system(identifier):
     assert cl.solution == solve(full)
     # the reduced system is the full one with the zeroed unknowns left out
     kept = cl.system.unknowns
-    assert set(kept) == set(full.unknowns) - weight_prefilter(sl2(), mod)
+    assert set(kept) == set(full.unknowns) & weight_compatible_unknowns(
+        sl2(), mod)
     assert [(r.coeffs, r.triple, r.component) for r in cl.system.rows] == (
         restricted_rows(full, kept))
 
@@ -539,7 +541,7 @@ def test_any_zeroed_set_leaves_exactly_those_unknowns_out(identifier,
     full = generate_constraints(sl2(), mod, symmetric=symmetric)
     zeroed = frozenset(u for u in full.unknowns if rng.random() < 0.8)
     cs = generate_constraints(sl2(), mod, symmetric=symmetric,
-                              zero_unknowns=zeroed)
+                              keep_unknowns=frozenset(full.unknowns) - zeroed)
     assert cs.unknowns == tuple(u for u in full.unknowns if u not in zeroed)
     assert [(r.coeffs, r.triple, r.component) for r in cs.rows] == (
         restricted_rows(full, cs.unknowns))
@@ -549,7 +551,8 @@ def reference_weight_prefilter(even, mod):
     """The unknowns U_k(i,j), i <= j, with l_i + l_j != u_k for some even
     basis vector acting diagonally with weights l on the module and u on
     the even part: one comparison per full unknown, the oracle of the
-    bucketed ``weight_prefilter``."""
+    bucketed ``weight_compatible_unknowns``, which returns the other
+    unknowns."""
     ne, nm = even.dim, mod.module_dim
     rcol = mod.right
 
@@ -569,6 +572,12 @@ def reference_weight_prefilter(even, mod):
     return frozenset(zeroed)
 
 
+def symmetric_unknowns(even, mod):
+    return frozenset(UnknownId(k, i, j) for k in range(even.dim)
+                     for i in range(mod.module_dim)
+                     for j in range(i, mod.module_dim))
+
+
 def abelian_weight_module():
     """A module over the 2-dimensional abelian algebra on which both even
     basis vectors act diagonally, with different weights."""
@@ -586,32 +595,37 @@ def test_weight_prefilter_matches_the_reference(identifier):
         even, mod = abelian_weight_module()
     else:
         even, mod = sl2(), grid_module(identifier)
-    assert weight_prefilter(even, mod) == reference_weight_prefilter(even, mod)
+    kept = weight_compatible_unknowns(even, mod)
+    assert kept <= symmetric_unknowns(even, mod)
+    assert symmetric_unknowns(even, mod) - kept == (
+        reference_weight_prefilter(even, mod))
 
 
 def test_weight_prefilter_intersects_the_diagonal_vectors():
     # the weights of p, (1, -1, 0), keep the pairs {0, 1} and {2, 2}; those
     # of q, (0, 0, 1), keep {0, 0}, {0, 1} and {1, 1}
     even, mod = abelian_weight_module()
-    kept = set(UnknownId(k, i, j) for k in range(2) for i in range(3)
-               for j in range(i, 3)) - weight_prefilter(even, mod)
+    kept = weight_compatible_unknowns(even, mod)
     assert kept == {UnknownId(k, 0, 1) for k in range(2)}
 
 
 def test_weight_prefilter_edge_modules():
     # zero actions: every module vector has weight 0, so only the
     # h-components survive
-    zeroed = weight_prefilter(sl2(), zero_action_module(2))
+    mod = zero_action_module(2)
+    zeroed = symmetric_unknowns(sl2(), mod) - weight_compatible_unknowns(
+        sl2(), mod)
     assert {u.name for u in zeroed} == {
         "a_0_0", "a_0_1", "a_1_1", "b_0_0", "b_0_1", "b_1_1"}
     # no even basis vector acts diagonally: nothing is zeroed, and classify
     # solves exactly the unfiltered system
     mod = conjugated_n1_2()
-    assert weight_prefilter(sl2(), mod) == frozenset()
+    full = symmetric_unknowns(sl2(), mod)
+    assert full - weight_compatible_unknowns(sl2(), mod) == frozenset()
     cl = classify(sl2(), mod)
     assert cl.system == generate_constraints(sl2(), mod,
                                              zero_odd_indices=cl.filtered)
-    assert generate_constraints(sl2(), mod, zero_unknowns=frozenset()) == (
+    assert generate_constraints(sl2(), mod, keep_unknowns=full) == (
         generate_constraints(sl2(), mod))
 
 
@@ -639,10 +653,26 @@ def test_one_kept_kind_per_pair_gives_the_restricted_rows(identifier,
     full = generate_constraints(sl2(), mod, symmetric=symmetric)
     zeroed = one_kind_per_pair(full.unknowns, symmetric)
     cs = generate_constraints(sl2(), mod, symmetric=symmetric,
-                              zero_unknowns=zeroed)
+                              keep_unknowns=frozenset(full.unknowns) - zeroed)
     assert cs.unknowns == tuple(u for u in full.unknowns if u not in zeroed)
     assert [(r.coeffs, r.triple, r.component) for r in cs.rows] == (
         restricted_rows(full, cs.unknowns))
+
+
+def test_a_pair_keeping_two_kinds_gives_the_restricted_rows():
+    # (0, 6) keeps b and c, while (0, 5) and (5, 6) keep nothing: the unit
+    # row of b_0_6 comes first from (v_0^1, v_0^2, v_1^2), a triple that
+    # reads the kept pair through its outer members only
+    mod = resolve("m3:4:2")
+    full = generate_constraints(sl2(), mod)
+    names = {"a_0_0", "b_0_2", "b_0_6", "b_1_5", "c_0_1", "c_0_6"}
+    cs = generate_constraints(sl2(), mod, keep_unknowns=frozenset(
+        u for u in full.unknowns if u.name in names))
+    assert {u.name for u in cs.unknowns} == names
+    rows = [(r.coeffs, r.triple, r.component) for r in cs.rows]
+    assert rows == restricted_rows(full, cs.unknowns)
+    assert (((2, Fraction(-1)),), ("v_0^1", "v_0^2", "v_1^2"),
+            "v_2^1") in rows
 
 
 # calls of _RowCollector.add per generation in classify's mode (both
@@ -665,8 +695,29 @@ def test_generation_work_follows_the_kept_rows(monkeypatch, identifier):
     mod = resolve(identifier)
     cs = generate_constraints(
         sl2(), mod, zero_odd_indices=annihilator_prefilter(sl2(), mod),
-        zero_unknowns=weight_prefilter(sl2(), mod))
+        keep_unknowns=weight_compatible_unknowns(sl2(), mod))
     assert len(cs.rows) <= len(calls) <= ADD_CALL_CEILINGS[identifier]
+
+
+def test_classify_builds_full_coordinates_only_when_read(monkeypatch):
+    # the text output reads no full coordinate: the unknowns built stay
+    # proportional to the kept ones, where the full coordinates of m1:96
+    # have 55,584 unknowns
+    built = []
+    init = UnknownId.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(UnknownId, "__init__", counted)
+    cl = classify(sl2(), bimodule_m1(96))
+    assert cl.summary_line() == "dimension 0; [L1,L1]=0"
+    assert len(built) <= 4 * len(cl.system.unknowns)
+    data = cl.to_json_dict()
+    assert len(data["unknowns"]) == 3 * 192 * 193 // 2 == 55584
+    assert data["dimension"] == 0
+    assert cl.unknowns is cl.unknowns
 
 
 def test_classify_grid_json_matches_the_full_system(capsys):
@@ -692,15 +743,16 @@ def test_weight_prefilter_is_sound(identifier):
     for row in full.rows:
         rs.add(row.as_dict())
     pos = {u: p for p, u in enumerate(full.unknowns)}
-    zeroed = weight_prefilter(sl2(), mod)
+    zeroed = set(full.unknowns) - weight_compatible_unknowns(sl2(), mod)
     assert zeroed
     for u in zeroed:
         assert rs.contains({pos[u]: Fraction(1)})
 
 
 def test_weight_prefilter_keeps_the_family_support():
-    zeroed = weight_prefilter(sl2(), module_n1(1))
-    kept = {u.name for u in generate_constraints(sl2(), module_n1(1)).unknowns}
+    full = generate_constraints(sl2(), module_n1(1)).unknowns
+    zeroed = set(full) - weight_compatible_unknowns(sl2(), module_n1(1))
+    kept = {u.name for u in full}
     assert kept - {u.name for u in zeroed} == {"a_0_0", "b_1_1", "c_0_1"}
     assert len(zeroed) == 6
 

@@ -252,6 +252,33 @@ def test_classify_grid_rejects_mismatched_shapes(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("args,message", [
+    (("classify", "n1:999999999999"),
+     "n1:999999999999 would have module dimension 1000000000000, over the "
+     "limit of 2048"),
+    (("verify", "m1:1025"),
+     "m1:1025 would have module dimension 2050, over the limit of 2048"),
+    (("table", "m3:1000:3", "--verbatim-tables"),
+     "m3:1000:3 would have module dimension 2997, over the limit of 2048"),
+    (("classify", "n1", "--grid", "1..1000000000"),
+     "grid range '1..1000000000' goes past the module dimension limit of "
+     "2048"),
+    (("classify", "m1", "--grid", "2,3,1000..1025"),
+     "grid range '1000..1025' goes past the module dimension limit of 2048"),
+    (("classify", "n2", "--grid=-99999999999..2"),
+     "grid range '-99999999999..2' goes past the module dimension limit of "
+     "2048"),
+    (("classify", "m3:-5:999999999999"),
+     "summand dimensions must stay positive: need n >= 1999999999996"),
+], ids=["id", "verify", "verbatim-chain", "range", "range-past-the-limit",
+        "negative-range", "chain-length"])
+def test_oversized_ids_are_usage_errors(capsys, args, message):
+    # refused before anything of that size is built or listed
+    code, out, err = run(capsys, *args)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_classify_rejects_plain_superalgebra(capsys):
     code, _, err = run(capsys, "classify", "s2")
     assert code == 2
