@@ -44,11 +44,21 @@ pair and nothing else gives only the unknown's unit row U = 0, so of those
 only the first with a nonzero row, per place of the pair in the triple, is
 enumerated; an all-odd triple whose pairs keep a single unknown between
 them is skipped once that unit row is in the system.
-Neither shortcut drops a row the deduplication would keep, so the system is
-the same, row for row, and the work follows the kept pairs rather than the
+With symmetric unknowns the mirror triples (a,v,u) and (v,u,a) with u < v,
+and (u,w,v) with v < w, give the rows of (a,u,v), (u,v,a) and (u,v,w)
+again, and those come first, so they are not composed.  None of these
+shortcuts drops a row the deduplication would keep, so the system is the
+same, row for row, and the work follows the kept pairs rather than the
 dimension.  When every pair keeps all its kinds (no weight filter, or
-``strict``) every triple that reads a kept pair is enumerated.  Rows are
-deduplicated by their primitive integer vectors.
+``strict``) every triple that reads a kept pair is enumerated, and in
+``strict`` mode every order of it.
+
+Rows are summed in integers: every term of a row is one structure constant,
+so the row times the common denominator D of the actions and the even
+brackets (1 on every catalog table) is an integer vector.  Rows are
+deduplicated by their primitive form, and only a kept row is turned into
+``Fraction`` coefficients.  ``solve`` eliminates the unit rows before the
+others; on the catalog modules nearly every kept unknown has one.
 """
 
 from __future__ import annotations
@@ -167,34 +177,37 @@ class _RowCollector:
     """Accumulates generated rows, deduplicating scalar multiples while
     keeping the first provenance tag.
 
-    A row is keyed by its primitive integer vector: the coefficients scaled
-    by the lcm of their denominators, divided by their gcd and signed so
-    that the first one is positive.  Two rows get equal keys exactly when
-    one is a scalar multiple of the other; a single-term row is keyed
-    ``((p, 1),)``, its unit row."""
+    Rows arrive as integer vectors: the coefficients times ``denominator``,
+    a common denominator of every coefficient the rows can have.  A row is
+    keyed by its primitive form, the integers divided by their gcd and
+    signed so that the first one is positive.  Two rows get equal keys
+    exactly when one is a scalar multiple of the other; a single-term row
+    is keyed ``((p, 1),)``, its unit row.  Only a row that is kept is
+    turned into ``Fraction`` coefficients."""
 
-    def __init__(self):
+    def __init__(self, denominator: int = 1):
+        self.denominator = denominator
         self.rows: list[ConstraintRow] = []
         self.seen: set[tuple] = set()
 
-    def add(self, coeffs: dict[int, Fraction],
+    def add(self, coeffs: dict[int, int],
             triple: tuple[str, str, str], component: str) -> None:
-        items = tuple(sorted(
-            (p, v if isinstance(v, Fraction) else Fraction(v))
-            for p, v in coeffs.items() if v))
+        items = sorted((p, n) for p, n in coeffs.items() if n)
         if not items:
             return
         if len(items) == 1:
             key: tuple = ((items[0][0], 1),)
         else:
-            scale = lcm(*(v.denominator for _, v in items))
-            ints = [v.numerator * (scale // v.denominator) for _, v in items]
-            g = gcd(*ints) if ints[0] > 0 else -gcd(*ints)
-            key = tuple((p, n // g) for (p, _), n in zip(items, ints))
+            g = gcd(*(n for _, n in items))
+            if items[0][1] < 0:
+                g = -g
+            key = tuple((p, n // g) for p, n in items)
         if key in self.seen:
             return
         self.seen.add(key)
-        self.rows.append(ConstraintRow(items, triple, component))
+        d = self.denominator
+        self.rows.append(ConstraintRow(
+            tuple((p, Fraction(n, d)) for p, n in items), triple, component))
 
 
 def _check_preconditions(even: SuperAlgebra, mod: BimoduleSpec) -> None:
@@ -248,9 +261,17 @@ def generate_constraints(even: SuperAlgebra, mod: BimoduleSpec,
     row, per place of the pair in the triple, is a candidate.  The
     candidates are composed in sorted order, and an all-odd triple whose
     pairs keep one unknown p between them is skipped once p's unit row is
-    kept.  So rows, order and provenance are those of the full expansion,
+    kept.  With ``symmetric`` the mirror triples (a,v,u), (u,w,v) and
+    (v,u,a), u < v (v < w), are skipped too: their rows are, coefficient
+    for coefficient, those of (a,u,v), (u,v,w) and (u,v,a), which come
+    first.  So rows, order and provenance are those of the full expansion,
     at a cost that follows the kept pairs and their fan-out through the
     actions, not the dimension.
+
+    Each term is one structure constant, so the rows are summed as integer
+    vectors over the lcm D of the denominators of the actions and the even
+    brackets, keyed by their primitive form, and a kept row stores each
+    integer n as ``Fraction(n, D)``.
     """
     _check_preconditions(even, mod)
     ne, nm = even.dim, mod.module_dim
@@ -276,9 +297,22 @@ def generate_constraints(even: SuperAlgebra, mod: BimoduleSpec,
         for (i, j), ks in list(kinds.items()):
             kinds[(j, i)] = ks
 
-    rcol, lcol = mod.right, mod.left
-    # ebr[x][y] = the even product [e_x, e_y] as a sparse vector
-    ebr = [[even.bracket_indices(x, y) for y in range(ne)] for x in range(ne)]
+    ebr_q = [[even.bracket_indices(x, y) for y in range(ne)]
+             for x in range(ne)]
+    den = lcm(*(cf.denominator
+                for table in (mod.right, mod.left, ebr_q)
+                for row in table for vec in row for cf in vec.values()))
+
+    def scaled(vec: Vec) -> dict[int, int]:
+        return {r: cf.numerator * (den // cf.denominator)
+                for r, cf in vec.items()}
+
+    # rcol[a][m] (lcol[a][m]) = [x_m, e_a] ([e_a, x_m]) and ebr[x][y] =
+    # [e_x, e_y], times the common denominator den, as sparse int vectors:
+    # every term of a row is one of these, so rows are summed in ints
+    rcol = [[scaled(vec) for vec in row] for row in mod.right]
+    lcol = [[scaled(vec) for vec in row] for row in mod.left]
+    ebr = [[scaled(vec) for vec in row] for row in ebr_q]
     # touch[i] = odd positions j such that the pair {i, j} keeps an unknown
     touch: list[set[int]] = [set() for _ in range(nm)]
     for i, j in kinds:
@@ -350,14 +384,14 @@ def generate_constraints(even: SuperAlgebra, mod: BimoduleSpec,
     labels = [even.label(i) for i in range(ne)] + list(mod.odd_labels)
     even_labels = labels[:ne]
     odd_labels = labels[ne:]
-    collector = _RowCollector()
+    collector = _RowCollector(den)
     seen = collector.seen
 
     def emit(triple: tuple[str, str, str], comp_labels: list[str],
-             terms: list[tuple[int, int, Fraction]]) -> None:
+             terms: list[tuple[int, int, int]]) -> None:
         """Sum the (component, position, coefficient) terms of one triple
         and emit one row per component, components ascending."""
-        acc: dict[int, dict[int, Fraction]] = {}
+        acc: dict[int, dict[int, int]] = {}
         for comp, p, cf in terms:
             row = acc.get(comp)
             if row is None:
@@ -372,6 +406,10 @@ def generate_constraints(even: SuperAlgebra, mod: BimoduleSpec,
     for code in sorted(candidates):
         t0, rest = divmod(code, dim2)
         t1, t2 = divmod(rest, dim)
+        # with ``symmetric`` the mirror triples (a,v,u), (u,w,v) and (v,u,a)
+        # of u < v (v < w) repeat the rows of (a,u,v), (u,v,w) and (u,v,a)
+        if symmetric and t1 >= ne and (t0 > t1 if t2 < ne else t1 > t2):
+            continue
         triple = (labels[t0], labels[t1], labels[t2])
         if t0 >= ne and t1 >= ne and t2 >= ne:
             u, v, w = t0 - ne, t1 - ne, t2 - ne
@@ -427,9 +465,15 @@ def generate_constraints(even: SuperAlgebra, mod: BimoduleSpec,
 
 def solve(cs: ConstraintSystem) -> SolutionSpace:
     """Canonical nullspace of the row matrix: one basis vector per free
-    column, that column set to 1."""
+    column, that column set to 1.
+
+    The rows are eliminated shortest first (a stable sort), unit rows before
+    the rest, so a longer row is reduced by the unit rows already in place
+    instead of being kept and then cleared again as each unit row arrives.
+    The reduced echelon form, and so the rank, pivots and nullspace, does
+    not depend on the order of the rows."""
     rs = RowSpace(len(cs.unknowns))
-    for row in cs.rows:
+    for row in sorted(cs.rows, key=lambda row: len(row.coeffs)):
         rs.add(row.as_dict())
     return SolutionSpace(cs.unknowns, tuple(rs.nullspace()), rs.rank,
                          tuple(rs.pivot_columns()))
@@ -500,6 +544,16 @@ def weight_compatible_unknowns(even: SuperAlgebra, mod: BimoduleSpec
     is those matching every diagonal vector: its cost follows the unknowns
     kept, not the ones left out.
     """
+    kept = _weight_compatible(even, mod)
+    if kept is None:
+        return frozenset(_full_unknowns(even.dim, mod.module_dim))
+    return frozenset(UnknownId(k, i, j) for k, i, j in kept)
+
+
+def _weight_compatible(even: SuperAlgebra, mod: BimoduleSpec
+                       ) -> set[tuple[int, int, int]] | None:
+    """The (kind, i, j) of ``weight_compatible_unknowns``, or None when no
+    even basis vector acts diagonally."""
     ne, nm = even.dim, mod.module_dim
     rcol = mod.right
     kept: set[tuple[int, int, int]] | None = None
@@ -516,9 +570,7 @@ def weight_compatible_unknowns(even: SuperAlgebra, mod: BimoduleSpec
         matching = {(k, i, j) for k in range(ne) for i in range(nm)
                     for j in bucket.get(mu[k] - lam[i], ()) if j >= i}
         kept = matching if kept is None else kept & matching
-    if kept is None:
-        return frozenset(_full_unknowns(ne, nm))
-    return frozenset(UnknownId(k, i, j) for k, i, j in kept)
+    return kept
 
 
 def _diagonal(columns: Sequence[Vec]) -> list[Fraction] | None:
@@ -587,7 +639,8 @@ class Classification:
     since their size grows with the square of the module dimension:
     ``unknowns`` (every symmetric unknown), ``vectors`` (the kernel basis
     over them) and ``solution`` (the solution of the system with only the
-    ``filtered`` positions left out)."""
+    ``filtered`` positions left out).  ``rank``, the rank of ``solution``,
+    is counted without building it."""
 
     system: ConstraintSystem
     reduced: SolutionSpace
@@ -636,10 +689,20 @@ class Classification:
             return "[L1,L1]=0"
         return "family: " + ",".join(self.names)
 
+    @property
+    def rank(self) -> int:
+        """``solution.rank``, counted without building ``solution``: the
+        rank of ``reduced`` plus one pivot per unknown left out of
+        ``system`` other than at the ``filtered`` positions."""
+        k = self.module_dim - len(self.filtered)
+        pairs = k * k if self.strict else k * (k + 1) // 2
+        return (self.reduced.rank + self.even_dim * pairs
+                - len(self.system.unknowns))
+
     def to_json_dict(self) -> dict:
         return {
             "dimension": self.dimension,
-            "rank": self.solution.rank,
+            "rank": self.rank,
             "unknowns": [u.name for u in self.unknowns],
             "vectors": [
                 {self.unknowns[p].name: format_scalar(v)
@@ -685,7 +748,11 @@ def classify(even: SuperAlgebra, mod: BimoduleSpec, prefilter: bool = True,
     _check_preconditions(even, mod)
     filters = prefilter and not strict
     filtered = annihilator_prefilter(even, mod) if filters else frozenset()
-    kept = weight_compatible_unknowns(even, mod) if filters else None
+    weights = _weight_compatible(even, mod) if filters else None
+    # name only the kept unknowns off the flagged positions
+    kept = None if weights is None else frozenset(
+        UnknownId(k, i, j) for k, i, j in weights
+        if i not in filtered and j not in filtered)
     system = generate_constraints(even, mod, symmetric=not strict,
                                   zero_odd_indices=filtered,
                                   keep_unknowns=kept)
@@ -850,12 +917,12 @@ def symmetric_ladder_hand_system(n: int, include_cubic_rows: bool = True
 
     def row(terms: list[tuple[int, int, int, int]],
             triple: tuple[str, str, str], comp: str) -> None:
-        coeffs: dict[int, Fraction] = {}
+        coeffs: dict[int, int] = {}
         for kind, i, j, cf in terms:
             if cf == 0 or not (0 <= i <= n and 0 <= j <= n):
                 continue
             p = at(kind, i, j)
-            coeffs[p] = coeffs.get(p, Fraction(0)) + cf
+            coeffs[p] = coeffs.get(p, 0) + cf
         collector.add(coeffs, triple, comp)
 
     for i in range(nm):
