@@ -29,44 +29,34 @@ coordinates, where it equals the solution of the unreduced system exactly,
 only when those are read.
 
 All three read the module actions as the spec stores them, as read-only
-sparse columns (``BimoduleSpec.right`` and ``left``).  The generator
-indexes the kept unknowns once by odd pair.  Each identity term of a
-triple reads one odd pair, so the generator takes the kept unknowns of that
-pair from the index and composes only those with the known actions.
+sparse columns (``BimoduleSpec.right`` and ``left``).  The generator does
+not walk the basis triples: from each kept pair of odd positions it
+enumerates the triples that can give a new row, and composes only the kept
+unknowns of each pair they read with the known actions.  The system is the
+same, row for row, as the full expansion's, and the work follows the kept
+pairs rather than the dimension.  Rows are summed in integers over the
+common denominator of the actions and the even brackets (1 on every catalog
+table) and deduplicated by their primitive form.
 
-The generator does not walk the basis triples: it enumerates, from each
-kept pair, the triples that read it, and composes those in triple order.
-These are the mixed triples that read the pair directly or through an
-action, found from the preimages of the actions, and the all-odd triples
-whose third member keeps an unknown with one of the pair.  After the weight
-filter a pair keeps a single unknown, and an all-odd triple that reads that
-pair and nothing else gives only the unknown's unit row U = 0, so of those
-only the first with a nonzero row, per place of the pair in the triple, is
-enumerated; an all-odd triple whose pairs keep a single unknown between
-them is skipped once that unit row is in the system.
-With symmetric unknowns the mirror triples (a,v,u) and (v,u,a) with u < v,
-and (u,w,v) with v < w, give the rows of (a,u,v), (u,v,a) and (u,v,w)
-again, and those come first, so they are not composed.  None of these
-shortcuts drops a row the deduplication would keep, so the system is the
-same, row for row, and the work follows the kept pairs rather than the
-dimension.  When every pair keeps all its kinds (no weight filter, or
-``strict``) every triple that reads a kept pair is enumerated, and in
-``strict`` mode every order of it.
-
-Rows are summed in integers: every term of a row is one structure constant,
-so the row times the common denominator D of the actions and the even
-brackets (1 on every catalog table) is an integer vector.  Rows are
-deduplicated by their primitive form, and only a kept row is turned into
-``Fraction`` coefficients.  ``solve`` eliminates the unit rows before the
-others; on the catalog modules nearly every kept unknown has one.
+After the weight filter a pair usually keeps one unknown U, and an all-odd
+triple of the pair whose third member keeps no unknown with either (a far
+member) reads U alone: its rows are multiples of the unit row U = 0.  When
+every kept unknown has a far triple with a nonzero row, the system has full
+rank and the zero solution, so ``classify`` checks this unit-row
+certificate first and then neither generates nor solves the system; it is
+built if read.  On the catalog modules the certificate fails only on a few
+small ones (``n1:0`` to ``n1:6``, ``n2:0``, ``m1:2``), and without the
+weight filter or in ``strict`` mode, where every pair keeps all its kinds.
+Then ``solve`` eliminates the unit rows before the others and stops once
+the rank is full.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from math import gcd, lcm
 
 from .algebra import (BimoduleSpec, SuperAlgebra, Vec, check_bimodule_axioms,
@@ -224,6 +214,55 @@ def _check_preconditions(even: SuperAlgebra, mod: BimoduleSpec) -> None:
             "module fails the bimodule axioms:\n" + rep.describe(10), rep)
 
 
+def _kept_pairs(ne: int, mod: BimoduleSpec, symmetric: bool,
+                zero: frozenset[int],
+                keep_unknowns: frozenset[UnknownId] | None):
+    """The unknowns ``generate_constraints`` keeps, kind-major; ``kinds``,
+    the kind and position of every kept U_kind(i, j) by ordered pair (both
+    orders share one list when ``symmetric``); and ``reach``.
+
+    ``reach(i, j)`` is (near, lfar, rfar) for a kept pair.  When it keeps
+    one kind k, a third odd member w outside ``near`` (the positions that
+    keep an unknown with i or j) is far: its triples with the pair read
+    U_k(i, j) alone.  ``lfar`` (``rfar``) is the first far w with
+    [e_k, x_w] != 0 ([x_w, e_k] != 0), or None; (x_i, x_j, x_w) and
+    (x_i, x_w, x_j) ((x_w, x_i, x_j)) then give U's unit row.  A pair that
+    keeps more kinds has every w near and none far."""
+    nm = mod.module_dim
+    if keep_unknowns is None:
+        unknowns = _full_unknowns(ne, nm, symmetric, zero)
+    else:
+        unknowns = tuple(sorted(
+            (u for u in keep_unknowns
+             if 0 <= u.kind < ne and 0 <= u.i < nm and 0 <= u.j < nm
+             and u.i not in zero and u.j not in zero
+             and (u.i <= u.j or not symmetric)),
+            key=lambda u: (u.kind, u.i, u.j)))
+    kinds: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for p, u in enumerate(unknowns):
+        kinds.setdefault((u.i, u.j), []).append((u.kind, p))
+    if symmetric:
+        for (i, j), ks in list(kinds.items()):
+            kinds[(j, i)] = ks
+    touch: list[set[int]] = [set() for _ in range(nm)]
+    for i, j in kinds:
+        touch[i].add(j)
+        touch[j].add(i)
+    lsup = [[w for w in range(nm) if mod.left[k][w]] for k in range(ne)]
+    rsup = [[w for w in range(nm) if mod.right[k][w]] for k in range(ne)]
+
+    def reach(i: int, j: int):
+        ks = kinds[(i, j)]
+        if len(ks) > 1:
+            return range(nm), None, None
+        near = touch[i] | touch[j]
+        k = ks[0][0]
+        return (near, next((w for w in lsup[k] if w not in near), None),
+                next((w for w in rsup[k] if w not in near), None))
+
+    return unknowns, kinds, reach
+
+
 def generate_constraints(even: SuperAlgebra, mod: BimoduleSpec,
                          symmetric: bool = True,
                          zero_odd_indices: frozenset[int] = frozenset(),
@@ -243,30 +282,24 @@ def generate_constraints(even: SuperAlgebra, mod: BimoduleSpec,
     system does not have are ignored.
 
     Rows come in lexicographic triple order, components ascending within a
-    triple, and each row restricted to the unknowns kept.  Each term of a
-    triple reads one ordered pair of odd positions, and the pair index
-    ``kinds[(i, j)]`` holds the kind and position of every kept unknown
-    U_kind(i, j) (both orders of a pair share one entry when ``symmetric``),
-    so only kept unknowns are ever composed with an action.
+    triple, each restricted to the kept unknowns.  Each term of a triple
+    reads one ordered pair of odd positions, whose kept unknowns come from
+    the pair index of ``_kept_pairs``; only those are composed.
 
     The triples are not walked; they are enumerated from the kept pairs.
     For each kept ordered pair (i, j) the candidates are the mixed triples
     that read it, directly or through an action (found from the preimage
-    indexes ``lpre`` and ``rpre`` of the left and right actions), and the
-    all-odd triples (i,j,w), (w,i,j) and (i,w,j) for every third member w
-    that keeps an unknown with i or j, or for every w when the pair keeps
-    more than one kind.  Any other triple reads no kept pair, or reads a
-    pair with a single kept unknown U and nothing else: its rows are
-    multiples of U's unit row, so of those only the first with a nonzero
-    row, per place of the pair in the triple, is a candidate.  The
-    candidates are composed in sorted order, and an all-odd triple whose
-    pairs keep one unknown p between them is skipped once p's unit row is
-    kept.  With ``symmetric`` the mirror triples (a,v,u), (u,w,v) and
-    (v,u,a), u < v (v < w), are skipped too: their rows are, coefficient
-    for coefficient, those of (a,u,v), (u,v,w) and (u,v,a), which come
-    first.  So rows, order and provenance are those of the full expansion,
-    at a cost that follows the kept pairs and their fan-out through the
-    actions, not the dimension.
+    indexes ``lpre`` and ``rpre`` of the actions), and the all-odd triples
+    (i,j,w), (w,i,j) and (i,w,j) for every near w.  A far w gives multiples
+    of the pair's one unit row, so only the first far w of each form with a
+    nonzero row is a candidate.  The candidates are composed in sorted
+    order, and an all-odd triple whose pairs keep one unknown p between them
+    is skipped once p's unit row is kept.  With ``symmetric`` the mirror
+    triples (a,v,u), (u,w,v) and (v,u,a), u < v (v < w), are skipped too:
+    their rows are, coefficient for coefficient, those of (a,u,v), (u,v,w)
+    and (u,v,a), which come first.  So rows, order and provenance are those
+    of the full expansion, at a cost that follows the kept pairs and their
+    fan-out through the actions, not the dimension.
 
     Each term is one structure constant, so the rows are summed as integer
     vectors over the lcm D of the denominators of the actions and the even
@@ -278,24 +311,8 @@ def generate_constraints(even: SuperAlgebra, mod: BimoduleSpec,
     zero = frozenset(zero_odd_indices)
     if any(not 0 <= z < nm for z in zero):
         raise ValueError("zero_odd_indices out of module range")
-
-    if keep_unknowns is None:
-        unknowns = _full_unknowns(ne, nm, symmetric, zero)
-    else:
-        unknowns = tuple(sorted(
-            (u for u in keep_unknowns
-             if 0 <= u.kind < ne and 0 <= u.i < nm and 0 <= u.j < nm
-             and u.i not in zero and u.j not in zero
-             and (u.i <= u.j or not symmetric)),
-            key=lambda u: (u.kind, u.i, u.j)))
-    # kinds[(i, j)] = (kind, position) of every kept unknown U_kind(i, j);
-    # with ``symmetric`` the two orders of a pair share one list
-    kinds: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for p, u in enumerate(unknowns):
-        kinds.setdefault((u.i, u.j), []).append((u.kind, p))
-    if symmetric:
-        for (i, j), ks in list(kinds.items()):
-            kinds[(j, i)] = ks
+    unknowns, kinds, reach = _kept_pairs(ne, mod, symmetric, zero,
+                                         keep_unknowns)
 
     ebr_q = [[even.bracket_indices(x, y) for y in range(ne)]
              for x in range(ne)]
@@ -313,11 +330,6 @@ def generate_constraints(even: SuperAlgebra, mod: BimoduleSpec,
     rcol = [[scaled(vec) for vec in row] for row in mod.right]
     lcol = [[scaled(vec) for vec in row] for row in mod.left]
     ebr = [[scaled(vec) for vec in row] for row in ebr_q]
-    # touch[i] = odd positions j such that the pair {i, j} keeps an unknown
-    touch: list[set[int]] = [set() for _ in range(nm)]
-    for i, j in kinds:
-        touch[i].add(j)
-        touch[j].add(i)
     # lpre[a][m] (rpre[a][m]) = odd positions x such that [e_a, x] ([x, e_a])
     # has an x_m component
     lpre: list[list[set[int]]] = [[set() for _ in range(nm)]
@@ -330,10 +342,6 @@ def generate_constraints(even: SuperAlgebra, mod: BimoduleSpec,
                 lpre[a][m].add(x)
             for m in rcol[a][x]:
                 rpre[a][m].add(x)
-    # lsup[k] (rsup[k]) = odd positions w, ascending, with [e_k, w] != 0
-    # ([w, e_k] != 0)
-    lsup = [[w for w in range(nm) if lcol[k][w]] for k in range(ne)]
-    rsup = [[w for w in range(nm) if rcol[k][w]] for k in range(ne)]
 
     # candidate triples (t0, t1, t2) of basis positions, the even basis
     # first, coded as t0 * dim2 + t1 * dim + t2: the codes sort as the
@@ -342,7 +350,7 @@ def generate_constraints(even: SuperAlgebra, mod: BimoduleSpec,
     dim2 = dim * dim
     candidates: set[int] = set()
     add = candidates.add
-    for (i, j), ks in kinds.items():
+    for i, j in kinds:
         oi, oj = ne + i, ne + j
         for a in range(ne):
             # (a,u,v) reads (u,v), ([a,u],v), ([a,v],u); (u,a,v) reads
@@ -362,24 +370,19 @@ def generate_constraints(even: SuperAlgebra, mod: BimoduleSpec,
             for x in rpre[a][j]:
                 add(oi * dim2 + (ne + x) * dim + a)
         # (i,j,w) and (i,w,j) read (i,j) through [[i,j],w], (w,i,j) through
-        # [w,[i,j]]; a w outside ``near`` reads no other kept pair
-        near = range(nm) if len(ks) > 1 else touch[i] | touch[j]
+        # [w,[i,j]]; every far w gives a multiple of the one unknown's unit
+        # row, so of those only the first of each form with a nonzero row
+        near, lfar, rfar = reach(i, j)
         for w in near:
             ow = ne + w
             add(oi * dim2 + oj * dim + ow)
             add(ow * dim2 + oi * dim + oj)
             add(oi * dim2 + ow * dim + oj)
-        if len(ks) == 1:
-            # every far w gives a multiple of the one unknown's unit row:
-            # keep the first w of each form whose row is nonzero
-            k = ks[0][0]
-            far = next((w for w in lsup[k] if w not in near), None)
-            if far is not None:
-                add(oi * dim2 + oj * dim + ne + far)
-                add(oi * dim2 + (ne + far) * dim + oj)
-            far = next((w for w in rsup[k] if w not in near), None)
-            if far is not None:
-                add((ne + far) * dim2 + oi * dim + oj)
+        if lfar is not None:
+            add(oi * dim2 + oj * dim + ne + lfar)
+            add(oi * dim2 + (ne + lfar) * dim + oj)
+        if rfar is not None:
+            add((ne + rfar) * dim2 + oi * dim + oj)
 
     labels = [even.label(i) for i in range(ne)] + list(mod.odd_labels)
     even_labels = labels[:ne]
@@ -471,9 +474,13 @@ def solve(cs: ConstraintSystem) -> SolutionSpace:
     the rest, so a longer row is reduced by the unit rows already in place
     instead of being kept and then cleared again as each unit row arrives.
     The reduced echelon form, and so the rank, pivots and nullspace, does
-    not depend on the order of the rows."""
-    rs = RowSpace(len(cs.unknowns))
+    not depend on the order of the rows, and once the rank is the number of
+    unknowns every later row lies in the span, so elimination stops there."""
+    n = len(cs.unknowns)
+    rs = RowSpace(n)
     for row in sorted(cs.rows, key=lambda row: len(row.coeffs)):
+        if rs.rank == n:
+            break
         rs.add(row.as_dict())
     return SolutionSpace(cs.unknowns, tuple(rs.nullspace()), rs.rank,
                          tuple(rs.pivot_columns()))
@@ -634,15 +641,16 @@ def _products_from_vector(unknowns: tuple[UnknownId, ...],
 class Classification:
     """Solution space plus assembled, re-verified representative tables.
 
-    ``system`` is the system actually solved and ``reduced`` its canonical
-    solution.  The full coordinates are built the first time they are read,
-    since their size grows with the square of the module dimension:
-    ``unknowns`` (every symmetric unknown), ``vectors`` (the kernel basis
-    over them) and ``solution`` (the solution of the system with only the
-    ``filtered`` positions left out).  ``rank``, the rank of ``solution``,
-    is counted without building it."""
+    ``reduced`` is the canonical solution of ``system``, the system over
+    the kept unknowns, which ``generate`` builds once, when first read.  The
+    full coordinates, whose size grows with the square of the module
+    dimension, are built when read too: ``unknowns`` (every symmetric
+    unknown), ``vectors`` (the kernel basis over them) and ``solution`` (the
+    solution of the system with only the ``filtered`` positions left out).
+    ``rank``, the rank of ``solution``, is counted without building it."""
 
-    system: ConstraintSystem
+    generate: Callable[[], ConstraintSystem] = field(repr=False,
+                                                     compare=False)
     reduced: SolutionSpace
     representatives: tuple[SuperAlgebra, ...]
     names: tuple[str, ...]
@@ -651,6 +659,10 @@ class Classification:
     symmetry_emerged: bool | None
     even_dim: int
     module_dim: int
+
+    @cached_property
+    def system(self) -> ConstraintSystem:
+        return self.generate()
 
     @cached_property
     def unknowns(self) -> tuple[UnknownId, ...]:
@@ -662,7 +674,7 @@ class Classification:
         vectors = []
         for vec in self.reduced.vectors:
             out = [Fraction(0)] * len(fpos)
-            for u, val in zip(self.system.unknowns, vec):
+            for u, val in zip(self.reduced.unknowns, vec):
                 # over ordered unknowns (strict) i > j repeats i < j
                 if val != 0 and u.i <= u.j:
                     out[fpos[u]] = val
@@ -697,7 +709,7 @@ class Classification:
         k = self.module_dim - len(self.filtered)
         pairs = k * k if self.strict else k * (k + 1) // 2
         return (self.reduced.rank + self.even_dim * pairs
-                - len(self.system.unknowns))
+                - len(self.reduced.unknowns))
 
     def to_json_dict(self) -> dict:
         return {
@@ -725,10 +737,13 @@ def classify(even: SuperAlgebra, mod: BimoduleSpec, prefilter: bool = True,
 
     ``prefilter`` applies ``annihilator_prefilter`` and
     ``weight_compatible_unknowns`` before generating; ``system`` is then the
-    smaller system actually solved, and ``reduced`` its solution.
+    smaller system over the kept unknowns, and ``reduced`` its solution.
     ``solution`` is always that of the system with only the
     annihilator-flagged positions left out, bit for bit: the unknowns the
     weights leave out come back as pivots with coordinate 0.
+    When the unit-row certificate (see the module docstring) holds,
+    ``reduced`` is the zero solution of full rank, equal to
+    ``solve(system)``, and ``system`` is generated only if it is read.
 
     Returns the canonical solution space, in full symmetric coordinates
     when read, plus representative superalgebras: the zero-product table
@@ -753,10 +768,20 @@ def classify(even: SuperAlgebra, mod: BimoduleSpec, prefilter: bool = True,
     kept = None if weights is None else frozenset(
         UnknownId(k, i, j) for k, i, j in weights
         if i not in filtered and j not in filtered)
-    system = generate_constraints(even, mod, symmetric=not strict,
-                                  zero_odd_indices=filtered,
-                                  keep_unknowns=kept)
-    sol = solve(system)
+    unknowns, _, reach = _kept_pairs(even.dim, mod, not strict, filtered,
+                                     kept)
+
+    generate = partial(generate_constraints, even, mod, symmetric=not strict,
+                       zero_odd_indices=filtered, keep_unknowns=kept)
+    if all(reach(u.i, u.j)[1:] != (None, None) for u in unknowns):
+        # a far triple gives each unknown its unit row: the system has full
+        # rank, and it is generated only if it is read
+        n = len(unknowns)
+        sol = SolutionSpace(unknowns, (), n, tuple(range(n)))
+    else:
+        system = generate()
+        sol = solve(system)
+        generate = lambda: system
 
     symmetry_emerged: bool | None = None
     if strict:
@@ -791,7 +816,7 @@ def classify(even: SuperAlgebra, mod: BimoduleSpec, prefilter: bool = True,
         else:
             names.append("zero" if idx == 0 else f"P{idx}")
 
-    return Classification(system, sol, tuple(reps), tuple(names), filtered,
+    return Classification(generate, sol, tuple(reps), tuple(names), filtered,
                           strict, symmetry_emerged, even.dim, mod.module_dim)
 
 

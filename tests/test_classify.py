@@ -2,7 +2,9 @@
 
 import importlib
 import json
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from sl2super.catalog import (
 )
 from sl2super.classify import (
     Classification,
+    ConstraintRow,
     ConstraintSystem,
     InvalidStructure,
     UnknownId,
@@ -525,7 +528,23 @@ def restricted_rows(system, unknowns):
           row.component) for row in system.rows), unknowns)
 
 
+def direct_sum(*mods):
+    """The direct sum of bimodules over sl2, the odd labels of the s-th
+    summand marked with s primes."""
+    labels, right, left, offset = [], [[], [], []], [[], [], []], 0
+    for s, mod in enumerate(mods):
+        labels += [label + "'" * s for label in mod.odd_labels]
+        for ours, theirs in ((right, mod.right), (left, mod.left)):
+            for action, columns in zip(ours, theirs):
+                action += [{r + offset: c for r, c in col.items()}
+                           for col in columns]
+        offset += mod.module_dim
+    return BimoduleSpec(sl2(), tuple(labels), tuple(right), tuple(left))
+
+
 def grid_module(identifier):
+    if "+" in identifier:
+        return direct_sum(*map(grid_module, identifier.split("+")))
     if identifier.startswith("zero:"):
         return zero_action_module(int(identifier[5:]))
     if identifier == "conjugated-n1:2":
@@ -744,14 +763,115 @@ def test_classify_builds_full_coordinates_only_when_read(monkeypatch):
     monkeypatch.setattr(UnknownId, "__init__", counted)
     cl = classify(sl2(), bimodule_m1(96))
     assert cl.summary_line() == "dimension 0; [L1,L1]=0"
-    kept = len(cl.system.unknowns)
+    kept = len(cl.reduced.unknowns)
     assert len(built) <= 2 * kept
+    # the unit rows certify the zero answer, so no system was generated
+    assert "system" not in vars(cl)
     # the JSON output lists the full unknowns once, and counts the rank
     data = cl.to_json_dict()
     assert len(built) <= 55584 + 2 * kept
     assert len(data["unknowns"]) == 3 * 192 * 193 // 2 == 55584
     assert data["dimension"] == 0
     assert cl.unknowns is cl.unknowns
+
+
+# ---------------------------------------------------------------------------
+# the unit-row certificate: the zero answer without generating the system
+# ---------------------------------------------------------------------------
+
+
+# where classify has to generate and solve: the small ladders (n1:1 has the
+# family), m1:2, and the modules whose actions give no far triple its row or
+# on which no even basis vector acts diagonally
+UNCERTIFIED = ({f"n1:{n}" for n in range(7)}
+               | {"n2:0", "m1:2", "zero:1", "zero:2", "zero:3",
+                  "conjugated-n1:2"})
+
+
+@pytest.mark.parametrize("identifier",
+                         DIFFERENTIAL_GRID + SKIP_GRID
+                         + ["n1:96", "m1:96", "m3:64:3"])
+def test_a_certified_zero_is_the_solution_of_the_system(monkeypatch,
+                                                        identifier):
+    module = importlib.import_module("sl2super.classify")
+    calls = []
+
+    def counted(*args, _generate=module.generate_constraints, **kwargs):
+        calls.append(args)
+        return _generate(*args, **kwargs)
+
+    monkeypatch.setattr(module, "generate_constraints", counted)
+    cl = classify(sl2(), grid_module(identifier))
+    certified = not calls
+    assert certified == (identifier not in UNCERTIFIED)
+    # the system is generated once, in classify or when first read
+    sol = solve(cl.system)
+    assert cl.system is cl.system and len(calls) == 1
+    assert sol == cl.reduced
+    if certified:
+        assert sol.rank == len(cl.system.unknowns)
+        assert sol.vectors == () and cl.dimension == 0
+
+
+@pytest.mark.parametrize("identifier", [
+    "n1:1", "n1:1+n1:0", "n1:3", "m1:3", "m3:4:2", "zero:2",
+    "conjugated-n1:2", "rescaled-n1:3"])
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=20, deadline=None)
+def test_the_unit_row_certificate_is_sound(identifier, rng):
+    # classify over a kept set of at most one kind per odd pair, mostly the
+    # weight-compatible one, in place of the weight filter's; its answer,
+    # certified or solved, must be the solution of the full system with the
+    # other unknowns left out, which no kept-pair shortcut produces.  Only
+    # n1:1 and n1:1+n1:0 have a kernel, so only there can a false
+    # certificate give a wrong answer
+    mod = grid_module(identifier)
+    weights = weight_compatible_unknowns(sl2(), mod)
+    kept = set()
+    for i in range(mod.module_dim):
+        for j in range(i, mod.module_dim):
+            choice = rng.random()
+            if choice < 0.75:
+                kinds = sorted(u.kind for u in weights if (u.i, u.j) == (i, j))
+                kept.update((k, i, j) for k in kinds[:1])
+            elif choice < 0.9:
+                kept.add((rng.randrange(3), i, j))
+    module = importlib.import_module("sl2super.classify")
+    with mock.patch.object(module, "_weight_compatible",
+                           return_value=kept), \
+            mock.patch.object(module, "generate_constraints",
+                              wraps=generate_constraints) as generate:
+        cl = classify(sl2(), mod)
+        certified = not generate.called
+    full = generate_constraints(sl2(), mod, zero_odd_indices=cl.filtered)
+    unknowns = tuple(u for u in full.unknowns
+                     if (u.kind, u.i, u.j) in kept)
+    sol = solve(ConstraintSystem(unknowns, tuple(
+        ConstraintRow(coeffs, triple, component)
+        for coeffs, triple, component in restricted_rows(full, unknowns))))
+    assert sol == cl.reduced
+    if certified:
+        assert sol.rank == len(unknowns)
+
+
+def test_solve_stops_at_full_rank(monkeypatch):
+    # the unit rows come first, and once each unknown has its own the rank
+    # is full and the longer rows are not eliminated
+    mod = resolve("m1:24")
+    cs = generate_constraints(
+        sl2(), mod, zero_odd_indices=annihilator_prefilter(sl2(), mod),
+        keep_unknowns=weight_compatible_unknowns(sl2(), mod))
+    calls = []
+    add = RowSpace.add
+
+    def counted(self, row):
+        calls.append(row)
+        return add(self, row)
+
+    monkeypatch.setattr(RowSpace, "add", counted)
+    sol = solve(cs)
+    assert sol.rank == len(cs.unknowns) == len(calls) < len(cs.rows)
+    assert sol.pivots == tuple(range(len(cs.unknowns)))
 
 
 @pytest.mark.parametrize("strict", [False, True], ids=["filtered", "strict"])
@@ -832,6 +952,46 @@ def test_chain_modules_are_rigid(n, k):
 def test_classify_rejects_verbatim_chain():
     with pytest.raises(InvalidStructure):
         classify(sl2(), bimodule_m3(6, 2, verbatim=True))
+
+
+# ---------------------------------------------------------------------------
+# the sl2 character count bounds the answer
+# ---------------------------------------------------------------------------
+
+
+def character_count(mod):
+    """#{i <= j : l_i + l_j = 2} - #{i <= j : l_i + l_j = 4} over the
+    h-weights l of the module (the diagonal of its right h action).
+
+    The rows of the triples (x_i, x_j, a) say that the odd product is an
+    sl2-equivariant map S^2 M -> sl2, so by complete reducibility and
+    Clebsch-Gordan the solutions form a space of dimension at most the
+    multiplicity of the adjoint module V(2) in S^2 M, which is this count.
+    It reads the weights alone, not the generator."""
+    columns = mod.right[2]
+    assert all(set(col) <= {m} for m, col in enumerate(columns))
+    weights = [col.get(m, 0) for m, col in enumerate(columns)]
+    sums = Counter(weights[i] + weights[j] for i in range(len(weights))
+                   for j in range(i, len(weights)))
+    return sums[2] - sums[4]
+
+
+CATALOG_GRID = [i for i in DIFFERENTIAL_GRID + SKIP_GRID
+                if not i.startswith(("zero:", "conjugated-"))]
+
+
+@pytest.mark.parametrize("identifier",
+                         CATALOG_GRID + ["n1:96", "m1:96", "m3:64:3"])
+def test_the_character_count_bounds_the_dimension(identifier):
+    mod = resolve(identifier)
+    assert classify(sl2(), mod).dimension <= character_count(mod)
+
+
+@pytest.mark.parametrize("n", list(range(13)) + [96])
+def test_the_character_count_of_a_ladder_is_its_parity(n):
+    # V(n) has one V(2) in its symmetric square for odd n and none for even
+    # n, so the count alone proves the zero answer on the even ladders
+    assert character_count(module_n1(n)) == n % 2
 
 
 # ---------------------------------------------------------------------------
