@@ -11,6 +11,7 @@ from sl2super.algebra import (
     check_leibniz,
     check_leibniz_super,
 )
+from sl2super import catalog
 from sl2super.catalog import (
     CATALOG_IDS,
     ERRATA,
@@ -209,6 +210,7 @@ VERBATIM_VIOLATIONS = {
     ("m3", 6, 2): 74, ("m4", 6, 2): 34,
     ("m3", 6, 3): 74, ("m4", 6, 3): 75,
     ("m3", 8, 3): 106, ("m4", 8, 3): 123,
+    ("m3", 10, 4): 215, ("m4", 10, 4): 181,
 }
 
 
@@ -237,6 +239,21 @@ def test_errata_inventory():
     assert families.count("m3") == 6
     assert families.count("m4") == 4
     assert set(families) == {"m2", "m3", "m4"}
+
+
+def test_each_patched_erratum_alone_breaks_the_axioms():
+    # the as-printed chains are the repaired ones plus these patches; each
+    # patch changes the table and is needed on its own.  k = 3, since the
+    # m4 patches on the odd summands start at v^3
+    patched = [e for e in ERRATA if e.patch is not None]
+    assert [e.family for e in patched] == ["m3"] * 3 + ["m4"] * 3
+    assert sum(e.patch is None for e in ERRATA) == 5
+    for e in patched:
+        coupled_rem = 0 if e.family == "m3" else 1
+        assert check_bimodule_axioms(
+            catalog._chain_bimodule(6, 3, coupled_rem, ())).ok
+        spec = catalog._chain_bimodule(6, 3, coupled_rem, (e.patch,))
+        assert not check_bimodule_axioms(spec).ok, e.printed
 
 
 def test_errata_entries_are_substantive():
