@@ -480,11 +480,11 @@ def _leibniz_residuals(table: Mapping[tuple[int, int], Vec], odd: list[bool]
                         row_ab[k] = row_ab.get(k, 0) - p
                         row_ba[k] = (row_ba.get(k, 0) - p if flip
                                      else row_ba.get(k, 0) + p)
-        for (y, z) in sorted(acc):
-            residual = {k: Fraction(v, D * D)
-                        for k, v in acc[(y, z)].items() if v}
-            if residual:
-                yield x, y, z, residual
+        # most pairs cancel on a valid table: drop them before sorting
+        nonzero = {yz: row for yz, row in acc.items() if any(row.values())}
+        for (y, z) in sorted(nonzero):
+            yield x, y, z, {k: Fraction(v, D * D)
+                            for k, v in nonzero[(y, z)].items() if v}
 
 
 def _labelled(A: SuperAlgebra, vec: Vec) -> dict[str, Fraction]:

@@ -15,7 +15,8 @@ validate the same spec object, so ``classify`` does not evaluate it again).
 
 ``generate_constraints`` expands that system symbolically, ``solve`` returns
 its canonical nullspace, and ``classify`` packages the solutions as actual
-superalgebra tables, re-verified from scratch.  ``residual_matrix`` builds
+superalgebra tables, each solved one re-verified from scratch (the zero
+table's verdict is the precondition report).  ``residual_matrix`` builds
 the same linear map by direct bracket evaluation on assembled tables, as an
 independent cross-check of the symbolic route.
 
@@ -63,7 +64,8 @@ from .algebra import (BimoduleSpec, SuperAlgebra, Vec, check_bimodule_axioms,
                       check_leibniz, check_leibniz_super)
 from .catalog import (OddBracketTable, assemble, module_n1, sl2,
                       superalgebra_s1, superalgebra_s2)
-from .linalg import Matrix, RowSpace, format_scalar, parse_scalar, rational_sqrt
+from .linalg import (IntSpan, Matrix, RowSpace, format_scalar, parse_scalar,
+                     rational_sqrt)
 
 
 class InvalidStructure(ValueError):
@@ -497,38 +499,32 @@ def annihilator_prefilter(even: SuperAlgebra, mod: BimoduleSpec
     part.  Any odd basis vector landing in the saturated span therefore has
     zero product with every odd element.  Returns those positions; sound in
     the symmetric regime (the unordered product keyed on the pair vanishes).
+
+    Only the span matters, so the vectors are scaled to integers by the lcm
+    D of the denominators of the actions and kept in an ``IntSpan``.  The
+    span is saturated from a worklist: each vector that enlarges it is
+    stored as a primitive row, and that row is imaged once under the right
+    action of each even basis vector.
     """
-    nm = mod.module_dim
-    if nm == 0:
-        return frozenset()
-    rcol, lcol = mod.right, mod.left
-    ne = even.dim
-    rs = RowSpace(nm)
-    for a in range(ne):
-        for m in range(nm):
-            vec: Vec = {}
-            for r, cf in rcol[a][m].items():
-                vec[r] = vec.get(r, Fraction(0)) + cf
-            for r, cf in lcol[a][m].items():
-                vec[r] = vec.get(r, Fraction(0)) + cf
-            rs.add({r: v for r, v in vec.items() if v != 0})
-    changed = True
-    while changed:
-        changed = False
-        for row in list(rs.echelon_rows()):
-            for a in range(ne):
-                img: Vec = {}
+    den = lcm(*(cf.denominator for side in (mod.right, mod.left)
+                for action in side for vec in action for cf in vec.values()))
+    right, left = ([[{r: cf.numerator * (den // cf.denominator)
+                      for r, cf in vec.items()} for vec in action]
+                    for action in side] for side in (mod.right, mod.left))
+    work = [{r: rm.get(r, 0) + lm.get(r, 0) for r in rm.keys() | lm.keys()}
+            for ra, la in zip(right, left) for rm, lm in zip(ra, la)]
+    span = IntSpan()
+    while work:
+        row = span.add(work.pop())
+        if row is not None:
+            for action in right:
+                img: dict[int, int] = {}
                 for m, cm in row.items():
-                    for r, cf in rcol[a][m].items():
-                        val = img.get(r, Fraction(0)) + cm * cf
-                        if val == 0:
-                            img.pop(r, None)
-                        else:
-                            img[r] = val
-                if img and rs.add(img):
-                    changed = True
-    return frozenset(m for m in range(nm)
-                     if rs.contains({m: Fraction(1)}))
+                    for r, n in action[m].items():
+                        img[r] = img.get(r, 0) + cm * n
+                work.append(img)
+    return frozenset(m for m in range(mod.module_dim)
+                     if span.contains({m: 1}))
 
 
 def weight_compatible_unknowns(even: SuperAlgebra, mod: BimoduleSpec
@@ -747,10 +743,13 @@ def classify(even: SuperAlgebra, mod: BimoduleSpec, prefilter: bool = True,
 
     Returns the canonical solution space, in full symmetric coordinates
     when read, plus representative superalgebras: the zero-product table
-    and, per solution-space basis vector, the table at parameter 1.  Every
-    representative is assembled and re-verified through
-    ``check_leibniz_super``; a failure there would mean the generator and
-    the checker disagree and raises immediately.
+    and, per solution-space basis vector, the table at parameter 1.  Each
+    solved table is re-verified through ``check_leibniz_super``; a failure
+    there would mean the generator and the checker disagree and raises
+    immediately.  The zero table is L ⋉ M with [M, M] = 0, and on it the
+    superidentity's sign never fires, so its residuals are exactly those of
+    ``check_leibniz`` and ``check_bimodule_axioms``: the precondition
+    report, already clean, is its verdict.
 
     ``strict`` treats the two orders of each odd pair as independent
     unknowns and verifies that the solver forces their equality (the
@@ -795,26 +794,22 @@ def classify(even: SuperAlgebra, mod: BimoduleSpec, prefilter: bool = True,
                 "strict mode produced an order-dependent solution; "
                 "representatives require symmetric products")
 
+    # the zero table is L ⋉ M, which _check_preconditions has verified
     reps = [assemble(even, mod)]
     for vec in sol.vectors:
         reps.append(assemble(even, mod,
                              _products_from_vector(sol.unknowns, vec)))
-    for rep in reps:
-        report = check_leibniz_super(rep)
+        report = check_leibniz_super(reps[-1])
         if not report.ok:
             raise InvalidStructure(
                 "internal error: a solved table fails the superidentity "
                 "on re-verification:\n" + report.describe(5), report)
 
-    s1, s2 = superalgebra_s1(), superalgebra_s2()
-    names = []
-    for idx, rep in enumerate(reps):
-        if rep == s1:
-            names.append("S1")
-        elif rep == s2:
-            names.append("S2")
-        else:
-            names.append("zero" if idx == 0 else f"P{idx}")
+    names = ["zero"] + [f"P{idx}" for idx in range(1, len(reps))]
+    if mod.module_dim == 2:  # S1 and S2 have a 2-dimensional odd part
+        s1, s2 = superalgebra_s1(), superalgebra_s2()
+        names = ["S1" if rep == s1 else "S2" if rep == s2 else name
+                 for rep, name in zip(reps, names)]
 
     return Classification(generate, sol, tuple(reps), tuple(names), filtered,
                           strict, symmetry_emerged, even.dim, mod.module_dim)

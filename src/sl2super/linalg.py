@@ -15,7 +15,7 @@ computed here are also the complex ones.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from typing import Iterable
 
 Scalar = Fraction
@@ -149,6 +149,62 @@ class RowSpace:
                     vec[pcol] = -coeff
             basis.append(tuple(vec))
         return basis
+
+
+class IntSpan:
+    """Span of sparse integer rows, for membership tests only.
+
+    Rows are dicts mapping column index to an int.  The span is kept as
+    echelon rows with distinct leading (smallest) columns, each primitive:
+    its entries have gcd 1 and its leading entry is positive.  A row is
+    reduced by fraction-free elimination, leading column first, so no
+    ``Fraction`` is ever built; scaling a row does not change the span.
+    Unlike ``RowSpace`` the rows are not reduced against each other, so
+    they give membership but no canonical basis.
+    """
+
+    def __init__(self):
+        self._rows: dict[int, dict[int, int]] = {}
+
+    def reduce(self, row: dict[int, int]) -> dict[int, int]:
+        """A nonzero multiple of the residual of ``row``, empty exactly
+        when ``row`` lies in the span."""
+        out = {c: v for c, v in row.items() if v}
+        while out:
+            lead = min(out)
+            pivot = self._rows.get(lead)
+            if pivot is None:
+                break
+            # out <- p * out - q * pivot clears the lead column and touches
+            # no column before it, since pivot starts there
+            g = gcd(pivot[lead], out[lead])
+            p, q = pivot[lead] // g, out[lead] // g
+            if p != 1:
+                out = {c: p * v for c, v in out.items()}
+            for c, v in pivot.items():
+                new = out.get(c, 0) - q * v
+                if new:
+                    out[c] = new
+                else:
+                    del out[c]
+        return out
+
+    def contains(self, row: dict[int, int]) -> bool:
+        return not self.reduce(row)
+
+    def add(self, row: dict[int, int]) -> dict[int, int] | None:
+        """Insert a row; returns the primitive row stored when it enlarged
+        the span, None otherwise."""
+        residual = self.reduce(row)
+        if not residual:
+            return None
+        lead = min(residual)
+        g = gcd(*residual.values())
+        if residual[lead] < 0:
+            g = -g
+        stored = {c: v // g for c, v in residual.items()}
+        self._rows[lead] = stored
+        return stored
 
 
 class Matrix:

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sl2super.algebra import (BasisVector, BimoduleSpec, Parity, SuperAlgebra,
+                              check_bimodule_axioms, check_leibniz,
                               check_leibniz_super)
 from sl2super.catalog import (
     OddBracketTable,
@@ -235,7 +236,7 @@ ORACLE_GRID = (
 
 def test_the_rescaled_module_has_rational_actions():
     # so that the oracle grid sums rows over a common denominator D > 1
-    mod = rescaled_n1_3()
+    mod = rescaled(module_n1(3))
     assert {cf.denominator for action in mod.right + mod.left
             for col in action for cf in col.values()} > {1}
     assert classify(sl2(), mod).dimension == 0
@@ -487,12 +488,10 @@ def conjugated_n1_2():
     return module_from_json(assemble(sl2(), spec).to_json())
 
 
-def rescaled_n1_3():
-    """module_n1(3) in the basis x_m / (m + 1): the column of x_m under
-    an action holds c (r + 1) / (m + 1) at row r where the original holds
-    c, so the actions have denominators 2, 3 and 4."""
-    mod = module_n1(3)
-
+def rescaled(mod):
+    """``mod`` in the basis x_m / (m + 1): the column of x_m under an
+    action holds c (r + 1) / (m + 1) at row r where the original holds c,
+    so the actions of module_n1(3) have denominators 2, 3 and 4."""
     def rescale(action):
         return [{r: c * Fraction(r + 1, m + 1) for r, c in col.items()}
                 for m, col in enumerate(action)]
@@ -500,6 +499,52 @@ def rescaled_n1_3():
     return BimoduleSpec(sl2(), mod.odd_labels,
                         tuple(rescale(action) for action in mod.right),
                         tuple(rescale(action) for action in mod.left))
+
+
+def sheared(mod):
+    """``mod`` in the basis y_m = x_m + x_{m+1} / (m + 2): the columns of
+    the actions get several entries with different denominators, and a
+    scale per column no longer gives the same span."""
+    nm = mod.module_dim
+
+    def to_x(m):  # the x coordinates of y_m
+        vec = {m: Fraction(1)}
+        if m + 1 < nm:
+            vec[m + 1] = Fraction(1, m + 2)
+        return vec
+
+    def to_y(vec):  # x_m = y_m + y_{m-1} / (m + 1), solved upwards
+        out, prev = {}, Fraction(0)
+        for m in range(nm):
+            prev = vec.get(m, 0) - prev / (m + 1)
+            if prev:
+                out[m] = prev
+        return out
+
+    def conj(action):
+        columns = []
+        for j in range(nm):
+            img = {}
+            for m, c in to_x(j).items():
+                for r, v in action[m].items():
+                    img[r] = img.get(r, 0) + c * v
+            columns.append(to_y(img))
+        return columns
+
+    return BimoduleSpec(sl2(), mod.odd_labels,
+                        tuple(conj(action) for action in mod.right),
+                        tuple(conj(action) for action in mod.left))
+
+
+def unsaturated_module():
+    """Actions of h on three vectors that satisfy no bimodule axiom: the
+    [x_m,h]+[h,x_m] span x_0, and the right action of h takes x_0 to x_1
+    and x_1 to x_2, so x_1 and x_2 are flagged only by saturating twice.
+    On a valid bimodule the span is already a sub-bimodule."""
+    zero = ({}, {}, {})
+    return BimoduleSpec(sl2(), ("x_0", "x_1", "x_2"),
+                        (zero, zero, ({1: 1}, {2: 1}, {})),
+                        (zero, zero, ({0: 1, 1: -1}, {2: -1}, {})))
 
 
 def distinct_rows(rows, unknowns):
@@ -549,8 +594,14 @@ def grid_module(identifier):
         return zero_action_module(int(identifier[5:]))
     if identifier == "conjugated-n1:2":
         return conjugated_n1_2()
-    if identifier == "rescaled-n1:3":
-        return rescaled_n1_3()
+    if identifier.startswith("rescaled-"):
+        return rescaled(resolve(identifier[len("rescaled-"):]))
+    if identifier.startswith("sheared-"):
+        return sheared(resolve(identifier[len("sheared-"):]))
+    if identifier.startswith("printed-"):
+        return resolve(identifier[len("printed-"):], verbatim=True)
+    if identifier == "unsaturated":
+        return unsaturated_module()
     return resolve(identifier)
 
 
@@ -675,6 +726,77 @@ def test_weight_prefilter_edge_modules():
                                              zero_odd_indices=cl.filtered)
     assert generate_constraints(sl2(), mod, keep_unknowns=full) == (
         generate_constraints(sl2(), mod))
+
+
+def reference_annihilator_prefilter(even, mod):
+    """The odd positions in the span of the [a,m]+[m,a], saturated under
+    the right action: a Fraction ``RowSpace`` that re-images every echelon
+    row in each round until a full round adds nothing.  The oracle of the
+    integer worklist in ``annihilator_prefilter``."""
+    nm = mod.module_dim
+    if nm == 0:
+        return frozenset()
+    rcol, lcol = mod.right, mod.left
+    ne = even.dim
+    rs = RowSpace(nm)
+    for a in range(ne):
+        for m in range(nm):
+            vec = {}
+            for r, cf in rcol[a][m].items():
+                vec[r] = vec.get(r, Fraction(0)) + cf
+            for r, cf in lcol[a][m].items():
+                vec[r] = vec.get(r, Fraction(0)) + cf
+            rs.add({r: v for r, v in vec.items() if v != 0})
+    changed = True
+    while changed:
+        changed = False
+        for row in list(rs.echelon_rows()):
+            for a in range(ne):
+                img = {}
+                for m, cm in row.items():
+                    for r, cf in rcol[a][m].items():
+                        val = img.get(r, Fraction(0)) + cm * cf
+                        if val == 0:
+                            img.pop(r, None)
+                        else:
+                            img[r] = val
+                if img and rs.add(img):
+                    changed = True
+    return frozenset(m for m in range(nm)
+                     if rs.contains({m: Fraction(1)}))
+
+
+# the sheared modules flag positions from columns with several entries of
+# different denominators, where integers that drop the denominators go
+# wrong; the as-printed tables are read by ``annihilator --verbatim-tables``;
+# only the unsaturated module needs the saturation
+PREFILTER_GRID = DIFFERENTIAL_GRID + SKIP_GRID + [
+    "rescaled-n1:3", "n1:1+n1:0", "m1:3+n2:2", "sheared-m1:4",
+    "sheared-m2:3", "sheared-m3:6:3", "sheared-m4:6:3", "printed-m3:6:3",
+    "printed-m4:6:2", "printed-m3:10:4", "unsaturated"]
+
+
+@pytest.mark.parametrize("identifier", PREFILTER_GRID)
+def test_annihilator_prefilter_matches_the_reference(identifier):
+    mod = grid_module(identifier)
+    assert annihilator_prefilter(sl2(), mod) == (
+        reference_annihilator_prefilter(sl2(), mod))
+
+
+def test_the_unsaturated_module_needs_two_rounds():
+    assert reference_annihilator_prefilter(
+        sl2(), unsaturated_module()) == {0, 1, 2}
+
+
+@pytest.mark.parametrize("identifier,flagged", [
+    ("n1:96", 0), ("m1:96", 95), ("m3:64:3", 126), ("m4:64:3", 63),
+    ("n2:96", 97)])
+def test_annihilator_prefilter_matches_the_reference_at_scale(identifier,
+                                                              flagged):
+    mod = resolve(identifier)
+    found = annihilator_prefilter(sl2(), mod)
+    assert len(found) == flagged
+    assert found == reference_annihilator_prefilter(sl2(), mod)
 
 
 def one_kind_per_pair(unknowns, symmetric):
@@ -1029,6 +1151,85 @@ def test_every_representative_passes_reverification():
     cl = classify(sl2(), module_n1(1))
     for rep in cl.representatives:
         assert check_leibniz_super(rep).ok
+
+
+def superidentity_residuals(even, mod):
+    """(labels, residual items) of every violation of the superidentity on
+    the zero table, ``assemble(even, mod)``."""
+    return {(v.labels, tuple(v.residual.items()))
+            for v in check_leibniz_super(assemble(even, mod)).violations}
+
+
+def precondition_residuals(even, mod):
+    """The same pairs read from ``check_leibniz`` and the bimodule axioms,
+    each bimodule triple (m, x, y) put back in the order of its identity."""
+    found = {(v.labels, tuple(v.residual.items()))
+             for v in check_leibniz(even).violations}
+    for v in check_bimodule_axioms(mod).violations:
+        m, x, y = v.labels
+        triple = {"bimodule-1": (m, x, y), "bimodule-2": (x, m, y),
+                  "bimodule-3": (x, y, m)}[v.identity]
+        found.add((triple, tuple(v.residual.items())))
+    return found
+
+
+@pytest.mark.parametrize("identifier,verbatim,count", [
+    ("n1:3", False, 0), ("n2:4", False, 0), ("m1:5", False, 0),
+    ("m3:8:3", False, 0), ("m4:10:4", False, 0), ("rescaled-m1:4", False, 0),
+    ("sheared-m3:6:3", False, 0), ("sheared-m4:6:3", False, 0),
+    ("m3:6:3", True, 74), ("m4:6:2", True, 34), ("m3:8:3", True, 106),
+    ("m3:10:4", True, 215), ("m4:10:4", True, 181)])
+def test_the_zero_table_fails_exactly_where_the_preconditions_do(
+        identifier, verbatim, count):
+    # with [M,M] = 0 the superidentity's sign never fires, so classify may
+    # read the zero table's verdict from the precondition report
+    mod = (resolve(identifier, verbatim=True) if verbatim
+           else grid_module(identifier))
+    zero = superidentity_residuals(sl2(), mod)
+    assert len(zero) == count
+    assert zero == precondition_residuals(sl2(), mod)
+
+
+@pytest.mark.parametrize("identifier", ["n1:1", "n1:3", "n2:2", "m1:24",
+                                        "m3:16:3", "conjugated-n1:2"])
+def test_only_the_solved_tables_are_reverified(monkeypatch, identifier):
+    module = importlib.import_module("sl2super.classify")
+    checked = []
+
+    def counted(alg):
+        checked.append(alg)
+        return check_leibniz_super(alg)
+
+    monkeypatch.setattr(module, "check_leibniz_super", counted)
+    cl = classify(sl2(), grid_module(identifier))
+    assert checked == list(cl.representatives[1:])
+    assert len(checked) == cl.dimension
+
+
+def test_a_wrong_solved_table_fails_reverification(monkeypatch):
+    module = importlib.import_module("sl2super.classify")
+    # [x_0, x_0] = e alone is off the family line of module_n1(1)
+    wrong = OddBracketTable.build({(0, 0): {0: Fraction(1)}})
+    monkeypatch.setattr(module, "_products_from_vector",
+                        lambda unknowns, vector: wrong)
+    with pytest.raises(InvalidStructure, match="on re-verification") as exc:
+        classify(sl2(), module_n1(1))
+    assert exc.value.report is not None and not exc.value.report.ok
+
+
+def test_s1_and_s2_are_built_only_for_a_two_dimensional_odd_part(
+        monkeypatch):
+    module = importlib.import_module("sl2super.classify")
+
+    def refuse():
+        raise AssertionError("S1 and S2 cannot match this module")
+
+    monkeypatch.setattr(module, "superalgebra_s1", refuse)
+    monkeypatch.setattr(module, "superalgebra_s2", refuse)
+    assert classify(sl2(), module_n1(3)).names == ("zero",)
+    assert classify(sl2(), bimodule_m1(2)).names == ("zero",)
+    monkeypatch.undo()
+    assert classify(sl2(), module_n1(1)).names == ("S1", "S2")
 
 
 @pytest.mark.parametrize("c", [1, 4, "9/4", 25])

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sl2super.linalg import (
+    IntSpan,
     Matrix,
     RowSpace,
     format_scalar,
@@ -127,6 +128,39 @@ def test_rowspace_nullspace_orthogonal_to_rows(data):
     for vec in kernel:
         for row in rows:
             assert sum(coef * vec[j] for j, coef in row.items()) == 0
+
+
+def test_intspan_add_and_contains():
+    span = IntSpan()
+    assert span.add({0: -2, 1: 4}) == {0: 1, 1: -2}  # primitive, lead > 0
+    assert span.add({1: 3, 2: 6}) == {1: 1, 2: 2}
+    # (3, -6, 0) is 3 times the first row; (1, 0, 4) is the first plus twice
+    # the second
+    assert span.add({0: 3, 1: -6}) is None
+    assert span.contains({0: 1, 2: 4})
+    assert not span.contains({2: 1})
+    assert span.contains({}) and span.contains({0: 0})
+
+
+@st.composite
+def integer_rows(draw, ncols):
+    return draw(st.dictionaries(st.integers(0, ncols - 1),
+                                st.integers(-30, 30), max_size=ncols))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_intspan_membership_matches_rowspace(data):
+    ncols = data.draw(st.integers(min_value=1, max_value=6))
+    rows = data.draw(st.lists(integer_rows(ncols), max_size=6))
+    probes = data.draw(st.lists(integer_rows(ncols), max_size=6))
+    span, rs = IntSpan(), RowSpace(ncols)
+    for row in rows:
+        as_fractions = {c: Fraction(v) for c, v in row.items() if v}
+        assert (span.add(row) is not None) == rs.add(as_fractions)
+    for probe in probes + [{c: 1} for c in range(ncols)]:
+        assert span.contains(probe) == rs.contains(
+            {c: Fraction(v) for c, v in probe.items() if v})
 
 
 # ---------------------------------------------------------------------------
