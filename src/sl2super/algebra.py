@@ -433,6 +433,21 @@ def _leibniz_residuals(table: Mapping[tuple[int, int], Vec], odd: list[bool]
     ``table`` maps (i, j) to the sparse coordinates of [b_i, b_j] on the
     basis b_0 .. b_{dim-1}, dim = len(odd), and is only read.  ``odd[i]`` is
     the parity used for b_i; s(y,z) = -1 exactly when y and z are both odd.
+    The ``Fraction`` front of ``_integer_residuals``: the lcm D of all
+    denominators (1 for an empty table) scales the table to integers, and
+    each residual, summed as D^2 times its value, is ``Fraction(n, D*D)``.
+    """
+    D = lcm(*(c.denominator for vec in table.values() for c in vec.values()))
+    scaled = {pair: {t: c.numerator * (D // c.denominator)
+                     for t, c in vec.items()} for pair, vec in table.items()}
+    for x, y, z, residual in _integer_residuals(scaled, odd):
+        yield x, y, z, {k: Fraction(v, D * D) for k, v in residual.items()}
+
+
+def _integer_residuals(table: Mapping, odd: list[bool]) -> Iterator[tuple]:
+    """The residuals of ``_leibniz_residuals`` on an integer ``table``, as
+    integer vectors with nonzero entries, in the same order.
+
     Rather than evaluating all dim^3 triples, the table is indexed once by
     left factor (``right[i]`` = pairs (j, [b_i,b_j])) and by product
     component (``producers[t]`` = (y, z, c) with [b_y,b_z]_t = c).  For each
@@ -446,21 +461,13 @@ def _leibniz_residuals(table: Mapping[tuple[int, int], Vec], odd: list[bool]
     and the pair (b, a), as s(b,a)[[x,z],y].  Every triple left out has all
     three terms empty, so its residual is zero.  Only the pairs of one x are
     held at a time.  Residual keys come in no particular order.
-
-    The sums are taken in integers.  D, the least common multiple of the
-    denominators of every structure constant (1 for an integer table and for
-    an empty one), scales the table to integer numerators; every term is a
-    product of two structure constants, so each accumulated sum is the true
-    residual coordinate times D^2, and is reported as ``Fraction(n, D*D)``.
     """
     dim = len(odd)
-    D = lcm(*(c.denominator for vec in table.values() for c in vec.values()))
     right: list[list[tuple[int, dict[int, int]]]] = [[] for _ in range(dim)]
     producers: list[list[tuple[int, int, int]]] = [[] for _ in range(dim)]
     for (i, j), vec in table.items():
-        scaled = {t: c.numerator * (D // c.denominator) for t, c in vec.items()}
-        right[i].append((j, scaled))
-        for t, c in scaled.items():
+        right[i].append((j, vec))
+        for t, c in vec.items():
             producers[t].append((i, j, c))
     for x in range(dim):
         acc: dict[tuple[int, int], dict[int, int]] = {}
@@ -483,8 +490,7 @@ def _leibniz_residuals(table: Mapping[tuple[int, int], Vec], odd: list[bool]
         # most pairs cancel on a valid table: drop them before sorting
         nonzero = {yz: row for yz, row in acc.items() if any(row.values())}
         for (y, z) in sorted(nonzero):
-            yield x, y, z, {k: Fraction(v, D * D)
-                            for k, v in nonzero[(y, z)].items() if v}
+            yield x, y, z, {k: v for k, v in nonzero[(y, z)].items() if v}
 
 
 def _labelled(A: SuperAlgebra, vec: Vec) -> dict[str, Fraction]:
@@ -572,8 +578,8 @@ class BimoduleSpec:
 
     A spec is immutable (frozen fields, module labels copied into a tuple,
     read-only action columns, an even algebra whose table is private), so
-    the axiom report that ``check_bimodule_axioms`` returns is computed on
-    first use and kept on the instance.
+    its axiom report and ``_integer_form``, which the axiom check, both
+    prefilters and the generator share, are computed once and kept.
     """
 
     even: SuperAlgebra
@@ -602,24 +608,48 @@ class BimoduleSpec:
     def _axiom_report(self) -> ViolationReport:
         return _bimodule_axiom_report(self)
 
+    @cached_property
+    def _integer_form(self) -> tuple:
+        return _integer_form(self)
+
     def split_extension_table(self) -> dict[tuple[int, int], Vec]:
         """Structure constants of L ⋉ M with [M, M] = 0, on the basis of L
         (indices 0 .. n-1) followed by the module vectors (n .. n+d-1): the
         products of L, then per even x and module m the products [x, m] and
         [m, x] read from ``left`` and ``right``.  A fresh table on each
         call."""
-        ne = self.even.dim
-        rcol, lcol = self.right, self.left
-        table = dict(self.even.table_items())
-        for x in range(ne):
-            for m in range(self.module_dim):
-                if lcol[x][m]:
-                    table[(x, ne + m)] = {ne + r: v
-                                          for r, v in lcol[x][m].items()}
-                if rcol[x][m]:
-                    table[(ne + m, x)] = {ne + r: v
-                                          for r, v in rcol[x][m].items()}
-        return table
+        return _split_extension(_even_brackets(self.even), self.right,
+                                self.left)
+
+
+def _even_brackets(A: SuperAlgebra) -> list[list[Mapping[int, Fraction]]]:
+    return [[A.bracket_indices(x, y) for y in range(A.dim)]
+            for x in range(A.dim)]
+
+
+def _integer_form(spec: BimoduleSpec) -> tuple:
+    """(D, right, left, even): both actions and the even brackets
+    ``even[x][y]`` times the lcm D of their denominators, as int dicts."""
+    sides = (spec.right, spec.left, _even_brackets(spec.even))
+    D = lcm(*(c.denominator for side in sides for row in side
+              for vec in row for c in vec.values()))
+    return (D, *(tuple(tuple(
+        {r: c.numerator * (D // c.denominator) for r, c in vec.items()}
+        for vec in row) for row in side) for side in sides))
+
+
+def _split_extension(even: Sequence, right: Sequence, left: Sequence) -> dict:
+    """``split_extension_table`` from ``even[x][y]`` and action columns."""
+    ne = len(even)
+    table = {(x, y): dict(vec) for x, row in enumerate(even)
+             for y, vec in enumerate(row) if vec}
+    for x, (rx, lx) in enumerate(zip(right, left)):
+        for m, (rm, lm) in enumerate(zip(rx, lx)):
+            if lm:
+                table[(x, ne + m)] = {ne + r: v for r, v in lm.items()}
+            if rm:
+                table[(ne + m, x)] = {ne + r: v for r, v in rm.items()}
+    return table
 
 
 def _as_columns(action: Matrix | Sequence[Mapping[int, object]],
@@ -663,7 +693,8 @@ def check_bimodule_axioms(spec: BimoduleSpec) -> ViolationReport:
 
 def _bimodule_axiom_report(spec: BimoduleSpec) -> ViolationReport:
     """The uncached evaluation behind ``check_bimodule_axioms``: the Leibniz
-    residuals of ``split_extension_table``.  Every triple of L ⋉ M with two
+    residuals of ``split_extension_table``, summed in ints on the same table
+    built from ``spec._integer_form``.  Every triple of L ⋉ M with two
     or three module members has all three terms zero, and one with none is
     a triple of L, checked first, so each residual left is (m,x,y) for
     bimodule-1, (x,m,y) for bimodule-2 or (x,y,m) for bimodule-3.  No sign
@@ -674,9 +705,11 @@ def _bimodule_axiom_report(spec: BimoduleSpec) -> ViolationReport:
         raise ValueError("acting algebra is not a Leibniz algebra:\n"
                          + even_report.describe(limit=3))
     ne = A.dim
+    D, right, left, even = spec._integer_form
     found = []
-    for a, b, c, residual in _leibniz_residuals(
-            spec.split_extension_table(), [False] * (ne + spec.module_dim)):
+    for a, b, c, residual in _integer_residuals(
+            _split_extension(even, right, left),
+            [False] * (ne + spec.module_dim)):
         if a >= ne:
             found.append(((a - ne, b, c, 1), residual))
         elif b >= ne:
@@ -687,7 +720,8 @@ def _bimodule_axiom_report(spec: BimoduleSpec) -> ViolationReport:
     labels = spec.odd_labels
     return ViolationReport(tuple(
         Violation(f"bimodule-{n}", (labels[m], A.label(x), A.label(y)),
-                  {labels[k - ne]: residual[k] for k in sorted(residual)})
+                  {labels[k - ne]: Fraction(residual[k], D * D)
+                   for k in sorted(residual)})
         for (m, x, y, n), residual in found))
 
 

@@ -63,23 +63,23 @@ def sl2() -> SuperAlgebra:
 
 class _ActionBuilder:
     """Accumulates one action of each of the three generators, column by
-    column: ``columns[gen][col]`` maps a row to its coefficient in the image
-    of module vector ``col``, the form ``BimoduleSpec`` takes (and copies,
-    dropping the zeros)."""
+    column: ``columns[gen][col]`` maps a row to its integer coefficient in
+    the image of module vector ``col``, the form ``BimoduleSpec`` takes (and
+    copies as ``Fraction``s, dropping the zeros)."""
 
     def __init__(self, dim: int):
         self.dim = dim
-        self.columns: list[list[dict[int, Fraction]]] = [
+        self.columns: list[list[dict[int, int]]] = [
             [{} for _ in range(dim)] for _ in range(3)]
 
-    def add(self, gen: int, row: int, col: int, value) -> None:
+    def add(self, gen: int, row: int, col: int, value: int) -> None:
         if not 0 <= row < self.dim:
             return  # out-of-range ladder indices denote the zero vector
         image = self.columns[gen][col]
-        image[row] = image.get(row, Fraction(0)) + parse_scalar(value)
+        image[row] = image.get(row, 0) + value
 
     def set_column(self, gen: int, col: int,
-                   terms: list[tuple[int, object]]) -> None:
+                   terms: list[tuple[int, int]]) -> None:
         """Replace the whole image of basis vector ``col`` under ``gen``."""
         self.columns[gen][col] = {}
         for row, value in terms:
@@ -222,7 +222,7 @@ def _chain_bimodule(n: int, k: int, coupled_rem: int,
     left = _ActionBuilder(len(labels))
 
     def setcol(builder: _ActionBuilder, gen: int, q: int, i: int,
-               terms: list[tuple[tuple[int, int], object]]) -> None:
+               terms: list[tuple[tuple[int, int], int]]) -> None:
         # the image of v_i^q is the sum of c v_{i'}^{q'} over the terms
         # ((q', i'), c) that fall inside the chain
         builder.set_column(gen, offsets[q] + i,

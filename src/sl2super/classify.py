@@ -29,15 +29,15 @@ modules that is a few percent of them, and the generator keeps only those.
 coordinates, where it equals the solution of the unreduced system exactly,
 only when those are read.
 
-All three read the module actions as the spec stores them, as read-only
-sparse columns (``BimoduleSpec.right`` and ``left``).  The generator does
-not walk the basis triples: from each kept pair of odd positions it
-enumerates the triples that can give a new row, and composes only the kept
-unknowns of each pair they read with the known actions.  The system is the
-same, row for row, as the full expansion's, and the work follows the kept
-pairs rather than the dimension.  Rows are summed in integers over the
-common denominator of the actions and the even brackets (1 on every catalog
-table) and deduplicated by their primitive form.
+All three read the actions from the spec's one integer form, its columns
+and even brackets times the lcm D of their denominators (1 on every catalog
+table), computed once per spec.  The generator does not walk the basis
+triples: from each kept pair of odd positions it enumerates the triples
+that can give a new row, and composes only the kept unknowns of each pair
+they read with the known actions.  The system is the same, row for row, as
+the full expansion's, and the work follows the kept pairs rather than the
+dimension.  Rows are summed in integers and deduplicated by their primitive
+form.
 
 After the weight filter a pair usually keeps one unknown U, and an all-odd
 triple of the pair whose third member keeps no unknown with either (a far
@@ -54,11 +54,11 @@ the rank is full.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
-from math import gcd, lcm
+from math import gcd
 
 from .algebra import (BimoduleSpec, SuperAlgebra, Vec, check_bimodule_axioms,
                       check_leibniz, check_leibniz_super)
@@ -304,9 +304,8 @@ def generate_constraints(even: SuperAlgebra, mod: BimoduleSpec,
     fan-out through the actions, not the dimension.
 
     Each term is one structure constant, so the rows are summed as integer
-    vectors over the lcm D of the denominators of the actions and the even
-    brackets, keyed by their primitive form, and a kept row stores each
-    integer n as ``Fraction(n, D)``.
+    vectors over the spec's integer form, keyed by their primitive form,
+    and a kept row stores each integer n as ``Fraction(n, D)``.
     """
     _check_preconditions(even, mod)
     ne, nm = even.dim, mod.module_dim
@@ -316,22 +315,10 @@ def generate_constraints(even: SuperAlgebra, mod: BimoduleSpec,
     unknowns, kinds, reach = _kept_pairs(ne, mod, symmetric, zero,
                                          keep_unknowns)
 
-    ebr_q = [[even.bracket_indices(x, y) for y in range(ne)]
-             for x in range(ne)]
-    den = lcm(*(cf.denominator
-                for table in (mod.right, mod.left, ebr_q)
-                for row in table for vec in row for cf in vec.values()))
-
-    def scaled(vec: Vec) -> dict[int, int]:
-        return {r: cf.numerator * (den // cf.denominator)
-                for r, cf in vec.items()}
-
     # rcol[a][m] (lcol[a][m]) = [x_m, e_a] ([e_a, x_m]) and ebr[x][y] =
-    # [e_x, e_y], times the common denominator den, as sparse int vectors:
-    # every term of a row is one of these, so rows are summed in ints
-    rcol = [[scaled(vec) for vec in row] for row in mod.right]
-    lcol = [[scaled(vec) for vec in row] for row in mod.left]
-    ebr = [[scaled(vec) for vec in row] for row in ebr_q]
+    # [e_x, e_y] times den, as int vectors: every term of a row is one of
+    # these (the preconditions make ``even`` the spec's own)
+    den, rcol, lcol, ebr = mod._integer_form
     # lpre[a][m] (rpre[a][m]) = odd positions x such that [e_a, x] ([x, e_a])
     # has an x_m component
     lpre: list[list[set[int]]] = [[set() for _ in range(nm)]
@@ -500,17 +487,13 @@ def annihilator_prefilter(even: SuperAlgebra, mod: BimoduleSpec
     zero product with every odd element.  Returns those positions; sound in
     the symmetric regime (the unordered product keyed on the pair vanishes).
 
-    Only the span matters, so the vectors are scaled to integers by the lcm
-    D of the denominators of the actions and kept in an ``IntSpan``.  The
-    span is saturated from a worklist: each vector that enlarges it is
-    stored as a primitive row, and that row is imaged once under the right
-    action of each even basis vector.
+    Only the span matters, so the vectors are read from the spec's integer
+    form and kept in an ``IntSpan``.  The span is saturated from a
+    worklist: each vector that enlarges it is stored as a primitive row,
+    and that row is imaged once under the right action of each even basis
+    vector.
     """
-    den = lcm(*(cf.denominator for side in (mod.right, mod.left)
-                for action in side for vec in action for cf in vec.values()))
-    right, left = ([[{r: cf.numerator * (den // cf.denominator)
-                      for r, cf in vec.items()} for vec in action]
-                    for action in side] for side in (mod.right, mod.left))
+    _, right, left, _ = mod._integer_form
     work = [{r: rm.get(r, 0) + lm.get(r, 0) for r in rm.keys() | lm.keys()}
             for ra, la in zip(right, left) for rm, lm in zip(ra, la)]
     span = IntSpan()
@@ -558,7 +541,7 @@ def _weight_compatible(even: SuperAlgebra, mod: BimoduleSpec
     """The (kind, i, j) of ``weight_compatible_unknowns``, or None when no
     even basis vector acts diagonally."""
     ne, nm = even.dim, mod.module_dim
-    rcol = mod.right
+    den, rcol, _, _ = mod._integer_form
     kept: set[tuple[int, int, int]] | None = None
     for a in range(ne):
         lam = _diagonal(rcol[a])
@@ -566,22 +549,25 @@ def _weight_compatible(even: SuperAlgebra, mod: BimoduleSpec
         if lam is None or mu is None:
             continue
         # bucket the odd indices by weight: U_k(i,j) matches exactly when
-        # j is in the bucket of weight u_k - l_i
-        bucket: dict[Fraction, list[int]] = {}
+        # j is in the bucket of u_k - l_i; a u_k * den off the integers
+        # (``even`` is not the spec's own) matches none
+        bucket: dict[int, list[int]] = {}
         for j, weight in enumerate(lam):
             bucket.setdefault(weight, []).append(j)
-        matching = {(k, i, j) for k in range(ne) for i in range(nm)
-                    for j in bucket.get(mu[k] - lam[i], ()) if j >= i}
+        targets = [(k, int(u * den)) for k, u in enumerate(mu)
+                   if (u * den).denominator == 1]
+        matching = {(k, i, j) for k, u in targets for i in range(nm)
+                    for j in bucket.get(u - lam[i], ()) if j >= i}
         kept = matching if kept is None else kept & matching
     return kept
 
 
-def _diagonal(columns: Sequence[Vec]) -> list[Fraction] | None:
+def _diagonal(columns: Sequence[Mapping]) -> list | None:
     """Diagonal of a map given by its sparse columns, or None when the map
     is not diagonal."""
     if any(col.keys() - {m} for m, col in enumerate(columns)):
         return None
-    return [col.get(m, Fraction(0)) for m, col in enumerate(columns)]
+    return [col.get(m, 0) for m, col in enumerate(columns)]
 
 
 def _embed_solution(sol: SolutionSpace, unknowns: tuple[UnknownId, ...]

@@ -221,6 +221,26 @@ def test_verbatim_chains_fail_axioms(family, n, k):
     assert len(report) == VERBATIM_VIOLATIONS[(family, n, k)]
 
 
+STORED_GRID = ([(f"n1:{n}", False) for n in range(7)]
+               + [(f"n2:{n}", False) for n in range(7)]
+               + [(f"{fam}:{n}", False) for fam in ("m1", "m2")
+                  for n in range(2, 7)]
+               + [(f"{fam}:{n}:{k}", False) for fam in ("m3", "m4")
+                  for n, k in CHAIN_PARAMS]
+               + [(f"{fam}:{n}:{k}", True)
+                  for fam, n, k in sorted(VERBATIM_VIOLATIONS)])
+
+
+@pytest.mark.parametrize("identifier,verbatim", STORED_GRID)
+def test_stored_coefficients_are_fractions(identifier, verbatim):
+    # the builders sum ints; the spec stores every entry as a Fraction
+    spec = resolve(identifier, verbatim=verbatim)
+    values = [v for side in (spec.right, spec.left) for action in side
+              for col in action for v in col.values()]
+    assert values or identifier in ("n1:0", "n2:0")
+    assert all(type(v) is Fraction for v in values)
+
+
 def test_verbatim_flag_reaches_resolve():
     spec = resolve("m3:4:2", verbatim=True)
     assert not check_bimodule_axioms(spec).ok

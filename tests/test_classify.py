@@ -1,9 +1,11 @@
 """Constraint generation, solving, and the classification pipeline."""
 
+import copy
 import importlib
 import json
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 from unittest import mock
 
 import pytest
@@ -11,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sl2super.algebra import (BasisVector, BimoduleSpec, Parity, SuperAlgebra,
-                              check_bimodule_axioms, check_leibniz,
-                              check_leibniz_super)
+                              _leibniz_residuals, check_bimodule_axioms,
+                              check_leibniz, check_leibniz_super)
 from sl2super.catalog import (
     OddBracketTable,
     assemble,
@@ -144,18 +146,34 @@ def test_classify_validates_before_it_prefilters(monkeypatch, even, build,
 
 @pytest.mark.parametrize("identifier", ["n1:3", "n2:2", "m1:4", "m2:4",
                                         "m3:8:3", "m4:6:3"])
-def test_no_consumer_changes_the_cached_columns(identifier):
+def test_no_consumer_changes_the_cached_columns(monkeypatch, identifier):
+    # every consumer reads the one integer form of the spec, built once per
+    # spec object (the catalog's validation of m1 to m4 builds it first)
+    module = importlib.import_module("sl2super.algebra")
+    built = []
+
+    def counted(spec, _build=module._integer_form):
+        built.append(spec)
+        return _build(spec)
+
+    monkeypatch.setattr(module, "_integer_form", counted)
     spec = resolve(identifier)
     cached = (spec.right, spec.left)
     snapshot = [[[dict(col) for col in action] for action in side]
                 for side in cached]
+    form = spec._integer_form
+    form_snapshot = copy.deepcopy(form)
+    check_bimodule_axioms(spec)
     classify(sl2(), spec)
     classify(sl2(), spec, strict=True)
+    generate_constraints(sl2(), spec)
     annihilator_prefilter(sl2(), spec)
     weight_compatible_unknowns(sl2(), spec)
     assert spec.right is cached[0] and spec.left is cached[1]
     assert [[[dict(col) for col in action] for action in side]
             for side in cached] == snapshot
+    assert spec._integer_form is form and form == form_snapshot
+    assert len(built) == 1 and built[0] is spec
 
 
 # ---------------------------------------------------------------------------
@@ -615,6 +633,17 @@ DIFFERENTIAL_GRID = (
 # whose unit row is already in the system, so the generator skips it
 SKIP_GRID = ["n1:12", "n1:16", "m1:8", "m3:10:4"]
 
+# the sheared modules flag positions from columns with several entries of
+# different denominators, where integers that drop the denominators go
+# wrong; the as-printed tables are read by ``annihilator --verbatim-tables``;
+# only the unsaturated module needs the saturation.  The rescaled and
+# sheared modules are the ones whose integer form has D > 1.
+PREFILTER_GRID = DIFFERENTIAL_GRID + SKIP_GRID + [
+    "rescaled-n1:3", "n1:1+n1:0", "m1:3+n2:2", "sheared-m1:4",
+    "sheared-m2:3", "sheared-m3:6:3", "sheared-m4:6:3", "printed-m3:6:3",
+    "printed-m4:6:2", "printed-m3:10:4", "unsaturated", "rescaled-m1:4",
+    "rescaled-m3:6:3", "printed-m3:8:3", "printed-m4:10:4"]
+
 
 @pytest.mark.parametrize("identifier", DIFFERENTIAL_GRID + SKIP_GRID)
 def test_weight_filtered_classification_equals_the_full_system(identifier):
@@ -688,7 +717,7 @@ def abelian_weight_module():
                               (Matrix.zeros(3, 3),) * 2)
 
 
-@pytest.mark.parametrize("identifier", DIFFERENTIAL_GRID + ["abelian"])
+@pytest.mark.parametrize("identifier", PREFILTER_GRID + ["abelian"])
 def test_weight_prefilter_matches_the_reference(identifier):
     if identifier == "abelian":
         even, mod = abelian_weight_module()
@@ -696,6 +725,22 @@ def test_weight_prefilter_matches_the_reference(identifier):
         even, mod = sl2(), grid_module(identifier)
     kept = weight_compatible_unknowns(even, mod)
     assert kept <= symmetric_unknowns(even, mod)
+    assert symmetric_unknowns(even, mod) - kept == (
+        reference_weight_prefilter(even, mod))
+
+
+@pytest.mark.parametrize("scales", [[2, 1, 1], [1, 1, 2], [1, 1, "1/3"]],
+                         ids=["2e", "2h", "h/3"])
+@pytest.mark.parametrize("identifier", ["n1:3", "m1:4"])
+def test_weight_prefilter_reads_the_even_algebra_it_is_given(identifier,
+                                                             scales):
+    # the filter is public and takes any even algebra, not only the spec's
+    # own.  Rescaling e keeps the weights of h on the even part (2, -2, 0);
+    # rescaling h makes them 4, -4, 0 or 2/3, -2/3, 0, and those are read
+    # from ``even``, the last ones matching no pair of integer weights
+    even, mod = sl2().rescaled(scales), resolve(identifier)
+    assert even != mod.even
+    kept = weight_compatible_unknowns(even, mod)
     assert symmetric_unknowns(even, mod) - kept == (
         reference_weight_prefilter(even, mod))
 
@@ -766,21 +811,80 @@ def reference_annihilator_prefilter(even, mod):
                      if rs.contains({m: Fraction(1)}))
 
 
-# the sheared modules flag positions from columns with several entries of
-# different denominators, where integers that drop the denominators go
-# wrong; the as-printed tables are read by ``annihilator --verbatim-tables``;
-# only the unsaturated module needs the saturation
-PREFILTER_GRID = DIFFERENTIAL_GRID + SKIP_GRID + [
-    "rescaled-n1:3", "n1:1+n1:0", "m1:3+n2:2", "sheared-m1:4",
-    "sheared-m2:3", "sheared-m3:6:3", "sheared-m4:6:3", "printed-m3:6:3",
-    "printed-m4:6:2", "printed-m3:10:4", "unsaturated"]
-
-
 @pytest.mark.parametrize("identifier", PREFILTER_GRID)
 def test_annihilator_prefilter_matches_the_reference(identifier):
     mod = grid_module(identifier)
     assert annihilator_prefilter(sl2(), mod) == (
         reference_annihilator_prefilter(sl2(), mod))
+
+
+def reference_integer_form(even, mod, factor=1):
+    """The actions and even brackets of ``mod`` times ``factor`` times the
+    lcm of their denominators, read straight from the ``Fraction``
+    columns: the oracle of ``BimoduleSpec._integer_form``."""
+    ebr = [[even.bracket_indices(x, y) for y in range(even.dim)]
+           for x in range(even.dim)]
+    sides = (mod.right, mod.left, ebr)
+    den = factor * lcm(*(cf.denominator for side in sides for row in side
+                         for vec in row for cf in vec.values()))
+    return (den, *(tuple(tuple({r: int(cf * den) for r, cf in vec.items()}
+                               for vec in row) for row in side)
+                   for side in sides))
+
+
+@pytest.mark.parametrize("identifier", PREFILTER_GRID)
+def test_the_integer_form_is_the_columns_times_their_denominator(identifier):
+    mod = grid_module(identifier)
+    form = mod._integer_form
+    assert form == reference_integer_form(sl2(), mod)
+    assert all(type(v) is int for side in form[1:] for row in side
+               for vec in row for v in vec.values())
+    if identifier.startswith(("rescaled-", "sheared-")):
+        assert form[0] > 1
+
+
+def fraction_route_violations(mod):
+    """(identity, labels, residual items) of each bimodule violation, read
+    from the ``Fraction`` residuals of ``split_extension_table`` and
+    ordered as ``check_bimodule_axioms`` orders them."""
+    ne = mod.even.dim
+    found = []
+    for a, b, c, residual in _leibniz_residuals(
+            mod.split_extension_table(), [False] * (ne + mod.module_dim)):
+        key = ((a - ne, b, c, 1) if a >= ne else (b - ne, a, c, 2)
+               if b >= ne else (c - ne, a, b, 3))
+        found.append((key, residual))
+    found.sort(key=lambda item: item[0])
+    labels = mod.odd_labels
+    return [(f"bimodule-{n}", (labels[m], mod.even.label(x),
+                               mod.even.label(y)),
+             [(labels[k - ne], residual[k]) for k in sorted(residual)])
+            for (m, x, y, n), residual in found]
+
+
+VIOLATION_TOTALS = {"printed-m3:6:3": 74, "printed-m4:6:2": 34,
+                    "printed-m3:8:3": 106, "printed-m3:10:4": 215,
+                    "printed-m4:10:4": 181, "unsaturated": 14}
+
+
+@pytest.mark.parametrize("identifier", PREFILTER_GRID)
+def test_the_integer_axiom_check_equals_the_fraction_route(identifier):
+    mod = grid_module(identifier)
+    report = check_bimodule_axioms(mod)
+    assert [(v.identity, v.labels, list(v.residual.items()))
+            for v in report] == fraction_route_violations(mod)
+    assert len(report) == VIOLATION_TOTALS.get(identifier, 0)
+
+
+@pytest.mark.parametrize("identifier", [
+    i for i in PREFILTER_GRID if i not in VIOLATION_TOTALS])
+def test_the_generated_rows_do_not_depend_on_the_form_s_scale(identifier):
+    # the system over the spec's form equals the one over an independently
+    # built form at six times its D: a row stores n / D whatever D is
+    mod = grid_module(identifier)
+    system = generate_constraints(sl2(), mod)
+    mod.__dict__["_integer_form"] = reference_integer_form(sl2(), mod, 6)
+    assert generate_constraints(sl2(), mod) == system
 
 
 def test_the_unsaturated_module_needs_two_rounds():
