@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import re
 from collections.abc import Iterator, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from fractions import Fraction
 from functools import cached_property
@@ -359,8 +359,12 @@ class SuperAlgebra:
         basis = []
         for pos, entry in enumerate(_json_list(data["basis"], "'basis'")):
             where = f"basis entry {pos}"
+            label = _json_field(entry, "label", where)
+            if not isinstance(label, str):
+                raise ValueError(f"the label of {where} must be a string, "
+                                 f"got {type(label).__name__}")
             basis.append(BasisVector(
-                pos, str(_json_field(entry, "label", where)),
+                pos, label,
                 Parity.from_str(_json_field(entry, "parity", where))))
         index = {b.label: b.index for b in basis}
         if len(index) != len(basis):
@@ -556,17 +560,19 @@ def check_graded_antisymmetry(A: SuperAlgebra) -> ViolationReport:
 
 Columns = tuple[Mapping[int, Fraction], ...]  # one action, column by column
 
+_NOT_SQUARE = "action matrices must be square of module dim"
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class BimoduleSpec:
     """Left/right action pair of an even Leibniz algebra L on a module M.
 
     ``right[a][m]`` is the image of module vector m under m -> [m, b_a], and
     ``left[a][m]`` its image under m -> [b_a, m], each a read-only sparse
-    mapping from module index to nonzero coefficient in the basis
-    ``odd_labels``.  Each action may be passed as a ``Matrix`` (column m
-    holds the image of the m-th module vector) or as one mapping per module
-    vector; either is copied into that stored form.  The axioms checked by
+    mapping from module index to nonzero ``Fraction`` coefficient in the
+    basis ``odd_labels``, rows in ascending order.  Each action may be
+    passed as a ``Matrix`` (column m holds the image of the m-th module
+    vector) or as one mapping per module vector.  The axioms checked by
     ``check_bimodule_axioms`` are, for module m and even x, y:
 
         [m,[x,y]] = [[m,x],y] - [[m,y],x]      (bimodule-1)
@@ -576,41 +582,57 @@ class BimoduleSpec:
     which is the Leibniz identity of the split extension L ⋉ M
     (``split_extension_table``) on the triples (m,x,y), (x,m,y), (x,y,m).
 
-    A spec is immutable (frozen fields, module labels copied into a tuple,
-    read-only action columns, an even algebra whose table is private), so
-    its axiom report and ``_integer_form``, which the axiom check, both
-    prefilters and the generator share, are computed once and kept.
+    The one stored form of the actions is ``_integer_form`` (see
+    ``_integer_actions``): the lcm D of every denominator and the columns
+    times D as ``int`` dicts, read from the input once.  The axiom check,
+    both prefilters and the generator read it; ``right`` and ``left`` are
+    built from it when first read, then kept.  Two specs are equal when
+    their even algebras, labels and forms are, which is when their
+    ``right`` and ``left`` are.  A spec is immutable (frozen fields, module
+    labels copied into a tuple, read-only action columns, an even algebra
+    whose table is private), so its axiom report too is computed once.
     """
 
     even: SuperAlgebra
     odd_labels: tuple[str, ...]
-    right: tuple[Columns, ...]
-    left: tuple[Columns, ...]
+    _integer_form: tuple = field(repr=False)
 
-    def __post_init__(self):
-        if not self.even.is_purely_even():
+    def __init__(self, even: SuperAlgebra, odd_labels: Sequence[str],
+                 right: Sequence, left: Sequence):
+        if not even.is_purely_even():
             raise ValueError("the acting algebra must be purely even")
-        object.__setattr__(self, "odd_labels", tuple(self.odd_labels))
-        d = len(self.odd_labels)
-        if len(set(self.odd_labels)) != d:
+        odd_labels = tuple(odd_labels)
+        if len(set(odd_labels)) != len(odd_labels):
             raise ValueError("duplicate module labels")
-        if len(self.right) != self.even.dim or len(self.left) != self.even.dim:
+        if len(right) != even.dim or len(left) != even.dim:
             raise ValueError("need one action matrix per even basis vector")
-        for side in ("right", "left"):
-            object.__setattr__(self, side, tuple(
-                _as_columns(action, d) for action in getattr(self, side)))
+        object.__setattr__(self, "even", even)
+        object.__setattr__(self, "odd_labels", odd_labels)
+        object.__setattr__(self, "_integer_form", _integer_actions(
+            even, right, left, len(odd_labels)))
+
+    def __repr__(self) -> str:
+        return (f"BimoduleSpec(even={self.even!r}, "
+                f"odd_labels={self.odd_labels!r}, right={self.right!r}, "
+                f"left={self.left!r})")
 
     @property
     def module_dim(self) -> int:
         return len(self.odd_labels)
 
     @cached_property
-    def _axiom_report(self) -> ViolationReport:
-        return _bimodule_axiom_report(self)
+    def right(self) -> tuple[Columns, ...]:
+        D, right, _, _ = self._integer_form
+        return _fraction_columns(D, right)
 
     @cached_property
-    def _integer_form(self) -> tuple:
-        return _integer_form(self)
+    def left(self) -> tuple[Columns, ...]:
+        D, _, left, _ = self._integer_form
+        return _fraction_columns(D, left)
+
+    @cached_property
+    def _axiom_report(self) -> ViolationReport:
+        return _bimodule_axiom_report(self)
 
     def split_extension_table(self) -> dict[tuple[int, int], Vec]:
         """Structure constants of L ⋉ M with [M, M] = 0, on the basis of L
@@ -627,15 +649,70 @@ def _even_brackets(A: SuperAlgebra) -> list[list[Mapping[int, Fraction]]]:
             for x in range(A.dim)]
 
 
-def _integer_form(spec: BimoduleSpec) -> tuple:
-    """(D, right, left, even): both actions and the even brackets
-    ``even[x][y]`` times the lcm D of their denominators, as int dicts."""
-    sides = (spec.right, spec.left, _even_brackets(spec.even))
-    D = lcm(*(c.denominator for side in sides for row in side
-              for vec in row for c in vec.values()))
-    return (D, *(tuple(tuple(
-        {r: c.numerator * (D // c.denominator) for r, c in vec.items()}
-        for vec in row) for row in side) for side in sides))
+def _integer_actions(even: SuperAlgebra, right: Sequence, left: Sequence,
+                     d: int) -> tuple:
+    """The stored form of ``BimoduleSpec``: (D, right, left, even), the two
+    actions column by column and the even brackets ``even[x][y]`` times the
+    lcm D of all their denominators, as ``int`` dicts.
+
+    Each action is read once: a ``Matrix``, or one mapping per module
+    vector from row to an ``int``, ``Fraction`` or "p/q" coefficient.  The
+    columns are copies with the zeros dropped and the rows in ascending
+    order, so that equal specs are stored, and read, alike however their
+    input was ordered; an ``int`` entry is kept as it is.  Raises
+    ValueError unless every action is d x d with its rows in range, and
+    TypeError on a coefficient that is not exact."""
+    den = 1  # the lcm of the denominators read so far
+    sides = []
+    for side in (right, left):
+        actions = []
+        for action in side:
+            if isinstance(action, Matrix):
+                if action.nrows != d:
+                    raise ValueError(_NOT_SQUARE)
+                action = [dict(enumerate(column))
+                          for column in zip(*action.rows())]
+            if len(action) != d:
+                raise ValueError(_NOT_SQUARE)
+            columns = []
+            for image in action:
+                column = {}
+                for r in sorted(image):
+                    if not 0 <= r < d:
+                        raise ValueError(_NOT_SQUARE)
+                    v = image[r]
+                    if type(v) is not int:
+                        v = parse_scalar(v)
+                        den = lcm(den, v.denominator)
+                        if v.denominator == 1:
+                            v = v.numerator
+                    if v:
+                        column[r] = v
+                columns.append(column)
+            actions.append(tuple(columns))
+        sides.append(tuple(actions))
+    ebr = _even_brackets(even)
+    D = lcm(den, *(c.denominator for row in ebr for vec in row
+                   for c in vec.values()))
+    if D > 1:
+        sides = [_scaled(side, D) for side in sides]
+    return (D, *sides, _scaled(ebr, D))
+
+
+def _scaled(rows: Sequence, D: int) -> tuple:
+    """``rows[x][y]``, sparse vectors of exact coefficients with
+    denominators dividing D, times D as ``int`` dicts."""
+    return tuple(tuple({r: c.numerator * (D // c.denominator)
+                        for r, c in vec.items()} for vec in row)
+                 for row in rows)
+
+
+def _fraction_columns(D: int, side: Sequence) -> tuple[Columns, ...]:
+    """One side of the integer form divided by D: the ``right`` or
+    ``left`` of ``BimoduleSpec``."""
+    return tuple(tuple(MappingProxyType({r: Fraction(v, D)
+                                         for r, v in column.items()})
+                       for column in action) for action in side)
 
 
 def _split_extension(even: Sequence, right: Sequence, left: Sequence) -> dict:
@@ -650,33 +727,6 @@ def _split_extension(even: Sequence, right: Sequence, left: Sequence) -> dict:
             if rm:
                 table[(ne + m, x)] = {ne + r: v for r, v in rm.items()}
     return table
-
-
-def _as_columns(action: Matrix | Sequence[Mapping[int, object]],
-                d: int) -> Columns:
-    """One action in the stored form of ``BimoduleSpec``: a copy, per module
-    vector, of its image as a read-only mapping with exact nonzero
-    coefficients in row order, so that equal specs are read in the same
-    order however their input was ordered.  Raises ValueError unless the
-    action is d x d."""
-    if isinstance(action, Matrix):
-        if action.nrows != d:
-            raise ValueError("action matrices must be square of module dim")
-        action = [dict(enumerate(column)) for column in zip(*action.rows())]
-    if len(action) != d:
-        raise ValueError("action matrices must be square of module dim")
-    columns = []
-    for image in action:
-        column = {}
-        for r in sorted(image):
-            if not 0 <= r < d:
-                raise ValueError(
-                    "action matrices must be square of module dim")
-            v = parse_scalar(image[r])
-            if v:
-                column[r] = v
-        columns.append(MappingProxyType(column))
-    return tuple(columns)
 
 
 def check_bimodule_axioms(spec: BimoduleSpec) -> ViolationReport:

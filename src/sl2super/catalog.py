@@ -65,7 +65,7 @@ class _ActionBuilder:
     """Accumulates one action of each of the three generators, column by
     column: ``columns[gen][col]`` maps a row to its integer coefficient in
     the image of module vector ``col``, the form ``BimoduleSpec`` takes (and
-    copies as ``Fraction``s, dropping the zeros)."""
+    copies, ints kept as ints and zeros dropped)."""
 
     def __init__(self, dim: int):
         self.dim = dim

@@ -16,9 +16,10 @@ validate the same spec object, so ``classify`` does not evaluate it again).
 ``generate_constraints`` expands that system symbolically, ``solve`` returns
 its canonical nullspace, and ``classify`` packages the solutions as actual
 superalgebra tables, each solved one re-verified from scratch (the zero
-table's verdict is the precondition report).  ``residual_matrix`` builds
-the same linear map by direct bracket evaluation on assembled tables, as an
-independent cross-check of the symbolic route.
+table's verdict is the precondition report, and it is assembled only when
+read).  ``residual_matrix`` builds the same linear map by direct bracket
+evaluation on assembled tables, as an independent cross-check of the
+symbolic route.
 
 Two prefilters shrink the system before it is generated.
 ``annihilator_prefilter`` flags odd positions whose products all vanish.
@@ -29,15 +30,15 @@ modules that is a few percent of them, and the generator keeps only those.
 coordinates, where it equals the solution of the unreduced system exactly,
 only when those are read.
 
-All three read the actions from the spec's one integer form, its columns
+All three read the actions from the spec's one stored form, its columns
 and even brackets times the lcm D of their denominators (1 on every catalog
-table), computed once per spec.  The generator does not walk the basis
-triples: from each kept pair of odd positions it enumerates the triples
-that can give a new row, and composes only the kept unknowns of each pair
-they read with the known actions.  The system is the same, row for row, as
-the full expansion's, and the work follows the kept pairs rather than the
-dimension.  Rows are summed in integers and deduplicated by their primitive
-form.
+table) as ``int``s; a certified text-mode ``classify`` reads nothing else.
+The generator does not walk the basis triples: from each kept pair of odd
+positions it enumerates the triples that can give a new row, and composes
+only the kept unknowns of each pair they read with the known actions.  The
+system is the same, row for row, as the full expansion's, and the work
+follows the kept pairs rather than the dimension.  Rows are summed in
+integers and deduplicated by their primitive form.
 
 After the weight filter a pair usually keeps one unknown U, and an all-odd
 triple of the pair whose third member keeps no unknown with either (a far
@@ -250,8 +251,9 @@ def _kept_pairs(ne: int, mod: BimoduleSpec, symmetric: bool,
     for i, j in kinds:
         touch[i].add(j)
         touch[j].add(i)
-    lsup = [[w for w in range(nm) if mod.left[k][w]] for k in range(ne)]
-    rsup = [[w for w in range(nm) if mod.right[k][w]] for k in range(ne)]
+    _, rcol, lcol, _ = mod._integer_form
+    lsup = [[w for w in range(nm) if lcol[k][w]] for k in range(ne)]
+    rsup = [[w for w in range(nm) if rcol[k][w]] for k in range(ne)]
 
     def reach(i: int, j: int):
         ks = kinds[(i, j)]
@@ -621,7 +623,7 @@ def _products_from_vector(unknowns: tuple[UnknownId, ...],
 
 @dataclass(frozen=True)
 class Classification:
-    """Solution space plus assembled, re-verified representative tables.
+    """Solution space plus re-verified representative tables.
 
     ``reduced`` is the canonical solution of ``system``, the system over
     the kept unknowns, which ``generate`` builds once, when first read.  The
@@ -629,18 +631,39 @@ class Classification:
     dimension, are built when read too: ``unknowns`` (every symmetric
     unknown), ``vectors`` (the kernel basis over them) and ``solution`` (the
     solution of the system with only the ``filtered`` positions left out).
-    ``rank``, the rank of ``solution``, is counted without building it."""
+    ``rank``, the rank of ``solution``, is counted without building it.
+    ``solved`` holds the table of each solution vector; ``representatives``
+    and ``names`` assemble the zero table L ⋉ M of ``mod`` when read."""
 
     generate: Callable[[], ConstraintSystem] = field(repr=False,
                                                      compare=False)
     reduced: SolutionSpace
-    representatives: tuple[SuperAlgebra, ...]
-    names: tuple[str, ...]
+    mod: BimoduleSpec = field(repr=False)
+    solved: tuple[SuperAlgebra, ...]
     filtered: frozenset[int]
     strict: bool
     symmetry_emerged: bool | None
-    even_dim: int
-    module_dim: int
+
+    @property
+    def even_dim(self) -> int:
+        return self.mod.even.dim
+
+    @property
+    def module_dim(self) -> int:
+        return self.mod.module_dim
+
+    @cached_property
+    def representatives(self) -> tuple[SuperAlgebra, ...]:
+        return (assemble(self.mod.even, self.mod), *self.solved)
+
+    @cached_property
+    def names(self) -> tuple[str, ...]:
+        names = ["zero"] + [f"P{i}" for i in range(1, len(self.solved) + 1)]
+        if self.module_dim == 2:  # S1 and S2 have a 2-dimensional odd part
+            s1, s2 = superalgebra_s1(), superalgebra_s2()
+            names = ["S1" if rep == s1 else "S2" if rep == s2 else name
+                     for rep, name in zip(self.representatives, names)]
+        return tuple(names)
 
     @cached_property
     def system(self) -> ConstraintSystem:
@@ -730,12 +753,12 @@ def classify(even: SuperAlgebra, mod: BimoduleSpec, prefilter: bool = True,
     Returns the canonical solution space, in full symmetric coordinates
     when read, plus representative superalgebras: the zero-product table
     and, per solution-space basis vector, the table at parameter 1.  Each
-    solved table is re-verified through ``check_leibniz_super``; a failure
-    there would mean the generator and the checker disagree and raises
-    immediately.  The zero table is L ⋉ M with [M, M] = 0, and on it the
-    superidentity's sign never fires, so its residuals are exactly those of
-    ``check_leibniz`` and ``check_bimodule_axioms``: the precondition
-    report, already clean, is its verdict.
+    solved table is re-verified here through ``check_leibniz_super``; a
+    failure there would mean the generator and the checker disagree and
+    raises immediately.  The zero table is L ⋉ M with [M, M] = 0, and on it
+    the superidentity's sign never fires, so its residuals are exactly those
+    of ``check_leibniz`` and ``check_bimodule_axioms``: the precondition
+    report, already clean, is its verdict, and it is assembled when read.
 
     ``strict`` treats the two orders of each odd pair as independent
     unknowns and verifies that the solver forces their equality (the
@@ -781,24 +804,18 @@ def classify(even: SuperAlgebra, mod: BimoduleSpec, prefilter: bool = True,
                 "representatives require symmetric products")
 
     # the zero table is L ⋉ M, which _check_preconditions has verified
-    reps = [assemble(even, mod)]
+    solved = []
     for vec in sol.vectors:
-        reps.append(assemble(even, mod,
-                             _products_from_vector(sol.unknowns, vec)))
-        report = check_leibniz_super(reps[-1])
+        solved.append(assemble(even, mod,
+                               _products_from_vector(sol.unknowns, vec)))
+        report = check_leibniz_super(solved[-1])
         if not report.ok:
             raise InvalidStructure(
                 "internal error: a solved table fails the superidentity "
                 "on re-verification:\n" + report.describe(5), report)
 
-    names = ["zero"] + [f"P{idx}" for idx in range(1, len(reps))]
-    if mod.module_dim == 2:  # S1 and S2 have a 2-dimensional odd part
-        s1, s2 = superalgebra_s1(), superalgebra_s2()
-        names = ["S1" if rep == s1 else "S2" if rep == s2 else name
-                 for rep, name in zip(reps, names)]
-
-    return Classification(generate, sol, tuple(reps), tuple(names), filtered,
-                          strict, symmetry_emerged, even.dim, mod.module_dim)
+    return Classification(generate, sol, mod, tuple(solved), filtered,
+                          strict, symmetry_emerged)
 
 
 def residual_matrix(even: SuperAlgebra, mod: BimoduleSpec

@@ -29,6 +29,8 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
+FAMILIES = ("n1", "n2", "m1", "m2", "m3", "m4")
+
 
 class _Palette:
     def __init__(self, stream):
@@ -208,7 +210,7 @@ def _classify_one(identifier: str, args):
 def cmd_classify(args) -> int:
     if args.grid is not None:
         family = args.id
-        if family not in ("n1", "n2", "m1", "m2", "m3", "m4"):
+        if family not in FAMILIES:
             raise _UsageError(
                 f"--grid needs a bare family name, not {family!r}")
         ids = _parse_grid(family, args.grid)
@@ -239,6 +241,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_errata(args) -> int:
+    if args.family is not None and args.family not in FAMILIES:
+        raise _UsageError(f"unknown family {args.family!r}; errata takes "
+                          f"one of {'/'.join(FAMILIES)}")
     entries = [e for e in ERRATA
                if args.family is None or e.family == args.family]
     if args.json:

@@ -6,6 +6,7 @@ import json
 from collections import Counter
 from fractions import Fraction
 from math import lcm
+from types import MappingProxyType
 from unittest import mock
 
 import pytest
@@ -46,7 +47,7 @@ from sl2super.classify import (
     weight_compatible_unknowns,
 )
 from sl2super.cli import main
-from sl2super.linalg import Matrix, RowSpace
+from sl2super.linalg import Matrix, RowSpace, parse_scalar
 
 
 def named(space, vec):
@@ -148,32 +149,39 @@ def test_classify_validates_before_it_prefilters(monkeypatch, even, build,
                                         "m3:8:3", "m4:6:3"])
 def test_no_consumer_changes_the_cached_columns(monkeypatch, identifier):
     # every consumer reads the one integer form of the spec, built once per
-    # spec object (the catalog's validation of m1 to m4 builds it first)
+    # spec object when it is constructed (before the catalog validates it),
+    # and none of them builds the Fraction columns
     module = importlib.import_module("sl2super.algebra")
     built = []
 
-    def counted(spec, _build=module._integer_form):
-        built.append(spec)
-        return _build(spec)
+    def counted(*args, _build=module._integer_actions):
+        built.append(_build(*args))
+        return built[-1]
 
-    monkeypatch.setattr(module, "_integer_form", counted)
+    def consume():
+        check_bimodule_axioms(spec)
+        classify(sl2(), spec)
+        classify(sl2(), spec, strict=True)
+        generate_constraints(sl2(), spec)
+        annihilator_prefilter(sl2(), spec)
+        weight_compatible_unknowns(sl2(), spec)
+
+    monkeypatch.setattr(module, "_integer_actions", counted)
     spec = resolve(identifier)
+    form = spec._integer_form
+    assert built == [form] and built[0] is form
+    form_snapshot = copy.deepcopy(form)
+    consume()
+    assert "right" not in vars(spec) and "left" not in vars(spec)
     cached = (spec.right, spec.left)
     snapshot = [[[dict(col) for col in action] for action in side]
                 for side in cached]
-    form = spec._integer_form
-    form_snapshot = copy.deepcopy(form)
-    check_bimodule_axioms(spec)
-    classify(sl2(), spec)
-    classify(sl2(), spec, strict=True)
-    generate_constraints(sl2(), spec)
-    annihilator_prefilter(sl2(), spec)
-    weight_compatible_unknowns(sl2(), spec)
+    consume()
     assert spec.right is cached[0] and spec.left is cached[1]
     assert [[[dict(col) for col in action] for action in side]
             for side in cached] == snapshot
     assert spec._integer_form is form and form == form_snapshot
-    assert len(built) == 1 and built[0] is spec
+    assert len(built) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -841,6 +849,126 @@ def test_the_integer_form_is_the_columns_times_their_denominator(identifier):
                for vec in row for v in vec.values())
     if identifier.startswith(("rescaled-", "sheared-")):
         assert form[0] > 1
+
+
+def reference_as_columns(action, d):
+    """One action copied into read-only ``Fraction`` columns, rows in
+    ascending order and zeros dropped, as ``BimoduleSpec`` stored it before
+    its integer form became the one stored form: the oracle of
+    ``spec.right`` and ``spec.left``."""
+    if isinstance(action, Matrix):
+        if action.nrows != d:
+            raise ValueError("action matrices must be square of module dim")
+        action = [dict(enumerate(column)) for column in zip(*action.rows())]
+    if len(action) != d:
+        raise ValueError("action matrices must be square of module dim")
+    columns = []
+    for image in action:
+        column = {}
+        for r in sorted(image):
+            if not 0 <= r < d:
+                raise ValueError(
+                    "action matrices must be square of module dim")
+            v = parse_scalar(image[r])
+            if v:
+                column[r] = v
+        columns.append(MappingProxyType(column))
+    return tuple(columns)
+
+
+def assert_same_columns(stored, expected):
+    """Bit for bit: tuples of read-only views with the same rows in the
+    same order, and ``Fraction`` values."""
+    assert type(stored) is tuple and len(stored) == len(expected)
+    for ours, theirs in zip(stored, expected):
+        assert type(ours) is tuple and len(ours) == len(theirs)
+        for column, reference in zip(ours, theirs):
+            assert type(column) is MappingProxyType
+            assert list(column.items()) == list(reference.items())
+            assert all(type(v) is Fraction for v in column.values())
+
+
+@pytest.fixture
+def oracle_columns(monkeypatch):
+    """(spec, right, left) for every spec built while active: the oracle's
+    columns of the actions the constructor was given."""
+    built = []
+    init = BimoduleSpec.__init__
+
+    def recording(self, even, odd_labels, right, left):
+        init(self, even, odd_labels, right, left)
+        d = self.module_dim
+        built.append((self, *(tuple(reference_as_columns(a, d) for a in side)
+                              for side in (right, left))))
+
+    monkeypatch.setattr(BimoduleSpec, "__init__", recording)
+    return built
+
+
+# the as-printed chains PREFILTER_GRID leaves out
+STORED_FORM_GRID = PREFILTER_GRID + [
+    "printed-m3:4:2", "printed-m4:4:2", "printed-m3:6:2", "printed-m4:6:3",
+    "printed-m4:8:3"]
+
+
+@pytest.mark.parametrize("identifier", STORED_FORM_GRID)
+def test_the_stored_columns_equal_the_oracle(oracle_columns, identifier):
+    # the columns are built from the integer form when first read; the
+    # catalog builders hand in ints, the rescaled and sheared modules
+    # Fractions with D > 1
+    grid_module(identifier)
+    assert oracle_columns
+    for spec, right, left in oracle_columns:
+        assert_same_columns(spec.right, right)
+        assert_same_columns(spec.left, left)
+        assert spec.right is spec.right and spec.left is spec.left
+
+
+STORED_INPUTS = {
+    "matrix": Matrix([[0, 2, 0], [1, 0, "1/2"], [0, 0, -3]]),
+    "ints": [{0: 1, 2: -4}, {}, {1: 7}],
+    "fractions": [{0: Fraction(1, 3)}, {1: Fraction(4, 2)}, {}],
+    "strings": [{0: "1/2", 1: "-3"}, {2: "6/4"}, {}],
+    "mixed": [{2: "1/6", 0: 3, 1: Fraction(-5, 4)}, {}, {0: -1}],
+    "unsorted-rows": [{2: 1, 0: 2, 1: 3}, {}, {1: 1, 0: 1}],
+    "explicit-zeros": [{0: 0, 1: Fraction(0), 2: "0"}, {1: "0/5", 0: 2}, {}],
+}
+
+
+@pytest.mark.parametrize("bracket", [{}, {(0, 0): {0: Fraction(1, 3)}}],
+                         ids=["abelian", "a-third"])
+@pytest.mark.parametrize("name", sorted(STORED_INPUTS))
+def test_each_kind_of_input_is_stored_as_the_oracle_stores_it(bracket, name):
+    # whatever the denominators of the even brackets, which D includes
+    even = SuperAlgebra([BasisVector(0, "a", Parity.EVEN)], bracket)
+    labels = ("m0", "m1", "m2")
+    action, other = STORED_INPUTS[name], STORED_INPUTS["ints"]
+    for right, left in (((action,), (other,)), ((other,), (action,))):
+        spec = BimoduleSpec(even, labels, right, left)
+        assert_same_columns(spec.right, (reference_as_columns(right[0], 3),))
+        assert_same_columns(spec.left, (reference_as_columns(left[0], 3),))
+        assert spec._integer_form == reference_integer_form(even, spec)
+        assert all(type(v) is int for side in spec._integer_form[1:]
+                   for row in side for vec in row for v in vec.values())
+
+
+@pytest.mark.parametrize("action,error,message", [
+    ([{0: 1}], ValueError, "action matrices must be square of module dim"),
+    (Matrix.identity(3), ValueError,
+     "action matrices must be square of module dim"),
+    ([{0: 1}, {2: 1}], ValueError,
+     "action matrices must be square of module dim"),
+    ([{0: 1}, {1: 0.5}], TypeError, "not an exact scalar: 0.5"),
+], ids=["non-square", "non-square-matrix", "row-out-of-range", "float"])
+def test_a_malformed_action_gives_the_oracle_s_error(action, error, message):
+    even = SuperAlgebra([BasisVector(0, "a", Parity.EVEN)], {})
+    with pytest.raises(error) as theirs:
+        reference_as_columns(action, 2)
+    assert str(theirs.value) == message
+    for sides in (((action,), ([{}, {}],)), (([{}, {}],), (action,))):
+        with pytest.raises(error) as ours:
+            BimoduleSpec(even, ("m0", "m1"), *sides)
+        assert str(ours.value) == message
 
 
 def fraction_route_violations(mod):

@@ -1,17 +1,19 @@
 """Command line interface: output lines, exit codes, JSON modes."""
 
+import importlib
 import io
 import json
 import pathlib
 import subprocess
 import sys
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sl2super import algebra
+from sl2super import algebra, cli
 from sl2super.catalog import superalgebra_s2
 from sl2super.cli import main
 
@@ -142,11 +144,14 @@ def _s2_json_with(edit):
     *(_s2_json_with(lambda d, c=coeff: d["brackets"][0]["result"][0].update(
         coeff=c)) for coeff in ("1.5", "1e400", 1.5, 2, "+1", " 1", "1/-2",
                                 "1_000", "")),
+    # it used to load as the label str(label), "['a']", "None" or "0"
+    *({"basis": [{"label": label, "parity": "even"}], "brackets": []}
+      for label in (["a"], None, 0)),
 ], ids=["basis-not-a-list", "brackets-not-a-list", "zero-denominator",
         "basis-entry-not-an-object", "result-term-without-label",
         "decimal-string", "exponent-string", "json-float", "json-integer",
         "plus-sign", "leading-space", "negative-denominator", "underscore",
-        "empty-string"])
+        "empty-string", "label-a-list", "label-null", "label-a-number"])
 def test_verify_malformed_file_is_a_usage_error(tmp_path, capsys, data):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(data))
@@ -214,6 +219,51 @@ def test_classify_json(capsys):
     assert data["dimension"] == 1
     assert data["names"] == ["S1", "S2"]
     assert data["vectors"] == [{"a_0_0": "2", "b_1_1": "2", "c_0_1": "1"}]
+
+
+def count_lazy_builds(monkeypatch):
+    """Counts of the calls to ``assemble`` (from the CLI or ``classify``)
+    and of the ``Fraction`` action sides built from an integer form."""
+    counts = Counter()
+    # the package exports the function classify under the module's name
+    classify_module = importlib.import_module("sl2super.classify")
+    for module, name in ((cli, "assemble"), (classify_module, "assemble"),
+                         (algebra, "_fraction_columns")):
+        def counted(*args, _name=name, _real=getattr(module, name)):
+            counts[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "n1:24"), ("classify", "m1:24"), ("classify", "m3:16:3"),
+    ("classify", "m1", "--grid", "2..6"),
+    ("classify", "m3", "--grid", "4:2,6:3")])
+def test_a_text_classify_of_dimension_0_reads_only_integers(monkeypatch,
+                                                            capsys, argv):
+    # it prints the summary line, which needs neither the zero table nor a
+    # Fraction column
+    counts = count_lazy_builds(monkeypatch)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out
+    assert all(line.endswith("dimension 0; [L1,L1]=0")
+               for line in out.splitlines())
+    assert counts == Counter()
+
+
+def test_the_zero_table_is_assembled_when_it_is_printed(monkeypatch, capsys):
+    counts = count_lazy_builds(monkeypatch)
+    code, out, _ = run(capsys, "classify", "n1:1")
+    assert code == 0
+    assert out.splitlines()[0] == "dimension 1; representatives: S1, S2"
+    # the solved table in classify, then the zero table for the names
+    assert counts["assemble"] == 2 and counts["_fraction_columns"] == 2
+    code, out, _ = run(capsys, "classify", "n1:1", "--json")
+    assert code == 0
+    assert json.loads(out)["representatives"] == [
+        json.loads((GOLDEN / f"{name}.json").read_text())
+        for name in ("s1", "s2")]
 
 
 def test_classify_strict_flag(capsys):
@@ -325,6 +375,16 @@ def test_errata_json(capsys):
 def test_errata_unknown_family_is_empty(capsys):
     code, out, _ = run(capsys, "errata", "n1")
     assert code == 0 and out == ""
+
+
+@pytest.mark.parametrize("family", ["zz", "m5", "s2", "m3:6:3", ""])
+@pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
+def test_errata_of_a_name_that_is_no_family_is_a_usage_error(capsys, family,
+                                                              flags):
+    code, out, err = run(capsys, "errata", family, *flags)
+    assert code == 2 and out == ""
+    assert err == (f"error: unknown family {family!r}; errata takes one of "
+                   "n1/n2/m1/m2/m3/m4\n")
 
 
 # ---------------------------------------------------------------------------
