@@ -590,7 +590,8 @@ class BimoduleSpec:
     their even algebras, labels and forms are, which is when their
     ``right`` and ``left`` are.  A spec is immutable (frozen fields, module
     labels copied into a tuple, read-only action columns, an even algebra
-    whose table is private), so its axiom report too is computed once.
+    whose table is private), so its axiom report too is computed once, and
+    the Leibniz report of its even part, which ``classify`` reads too.
     """
 
     even: SuperAlgebra
@@ -629,6 +630,10 @@ class BimoduleSpec:
     def left(self) -> tuple[Columns, ...]:
         D, _, left, _ = self._integer_form
         return _fraction_columns(D, left)
+
+    @cached_property
+    def _even_report(self) -> ViolationReport:
+        return check_leibniz(self.even)
 
     @cached_property
     def _axiom_report(self) -> ViolationReport:
@@ -750,7 +755,7 @@ def _bimodule_axiom_report(spec: BimoduleSpec) -> ViolationReport:
     bimodule-1, (x,m,y) for bimodule-2 or (x,y,m) for bimodule-3.  No sign
     depends on parities here: it flips only when two members are odd."""
     A = spec.even
-    even_report = check_leibniz(A)
+    even_report = spec._even_report
     if not even_report.ok:
         raise ValueError("acting algebra is not a Leibniz algebra:\n"
                          + even_report.describe(limit=3))

@@ -25,7 +25,8 @@ Two prefilters shrink the system before it is generated.
 ``annihilator_prefilter`` flags odd positions whose products all vanish.
 ``weight_compatible_unknowns`` names the unknowns that the weights of a
 diagonally acting even basis vector (h, over sl2) leave free; on the catalog
-modules that is a few percent of them, and the generator keeps only those.
+modules that is a few percent of them, and the generator keeps only those
+(over ordered pairs in ``strict`` mode, which skips the other filter).
 ``classify`` keeps the solution of the reduced system and writes it in full
 coordinates, where it equals the solution of the unreduced system exactly,
 only when those are read.
@@ -47,10 +48,10 @@ every kept unknown has a far triple with a nonzero row, the system has full
 rank and the zero solution, so ``classify`` checks this unit-row
 certificate first and then neither generates nor solves the system; it is
 built if read.  On the catalog modules the certificate fails only on a few
-small ones (``n1:0`` to ``n1:6``, ``n2:0``, ``m1:2``), and without the
-weight filter or in ``strict`` mode, where every pair keeps all its kinds.
-Then ``solve`` eliminates the unit rows before the others and stops once
-the rank is full.
+small ones (``n1:0`` to ``n1:6``, ``n2:0``, ``m1:2``, and in ``strict`` mode
+up to ``n2:6``, ``m2:6`` and ``m4:6:3``), and where no even basis vector
+acts diagonally.  Then ``solve`` eliminates the unit rows before the others
+and stops once the rank is full.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from functools import cached_property, partial
 from math import gcd
 
 from .algebra import (BimoduleSpec, SuperAlgebra, Vec, check_bimodule_axioms,
-                      check_leibniz, check_leibniz_super)
+                      check_leibniz_super)
 from .catalog import (OddBracketTable, assemble, module_n1, sl2,
                       superalgebra_s1, superalgebra_s2)
 from .linalg import (IntSpan, Matrix, RowSpace, format_scalar, parse_scalar,
@@ -207,7 +208,7 @@ def _check_preconditions(even: SuperAlgebra, mod: BimoduleSpec) -> None:
     if even != mod.even:
         raise InvalidStructure(
             "module was built over a different even algebra")
-    rep = check_leibniz(even)
+    rep = mod._even_report  # shared with the axiom check
     if not rep.ok:
         raise InvalidStructure(
             "even part fails the Leibniz identity:\n" + rep.describe(5), rep)
@@ -482,32 +483,22 @@ def annihilator_prefilter(even: SuperAlgebra, mod: BimoduleSpec
     """Odd basis positions whose products are forced to vanish in every
     solution.
 
-    The span of the symmetrized products [a,m]+[m,a] (a even, m odd)
-    consists of elements z with [anything, z] = 0, whatever the odd products
-    turn out to be, and that property survives the right action of the even
-    part.  Any odd basis vector landing in the saturated span therefore has
-    zero product with every odd element.  Returns those positions; sound in
-    the symmetric regime (the unordered product keyed on the pair vanishes).
-
-    Only the span matters, so the vectors are read from the spec's integer
-    form and kept in an ``IntSpan``.  The span is saturated from a
-    worklist: each vector that enlarges it is stored as a primitive row,
-    and that row is imaged once under the right action of each even basis
-    vector.
+    The span of the s(a,m) = [a,m]+[m,a] (a even, m odd) consists of
+    elements z with [anything, z] = 0, whatever the odd products turn out
+    to be, so an odd basis vector in it has zero product with every odd
+    element.  Returns those positions; sound in the symmetric regime (the
+    unordered product keyed on the pair vanishes).  On a bimodule the span
+    is closed under the right action, [s(a,m), b] = s(a,[m,b]) + s([a,b],m)
+    (the axioms on (m,a,b) plus those on (a,m,b)), so it is not saturated:
+    each s(a,m), read from the spec's integer form, enters an ``IntSpan``
+    once.  ``classify`` checks the axioms before it calls this.
     """
     _, right, left, _ = mod._integer_form
-    work = [{r: rm.get(r, 0) + lm.get(r, 0) for r in rm.keys() | lm.keys()}
-            for ra, la in zip(right, left) for rm, lm in zip(ra, la)]
     span = IntSpan()
-    while work:
-        row = span.add(work.pop())
-        if row is not None:
-            for action in right:
-                img: dict[int, int] = {}
-                for m, cm in row.items():
-                    for r, n in action[m].items():
-                        img[r] = img.get(r, 0) + cm * n
-                work.append(img)
+    for ra, la in zip(right, left):
+        for rm, lm in zip(ra, la):
+            span.add({r: rm.get(r, 0) + lm.get(r, 0)
+                      for r in rm.keys() | lm.keys()})
     return frozenset(m for m in range(mod.module_dim)
                      if span.contains({m: 1}))
 
@@ -538,10 +529,11 @@ def weight_compatible_unknowns(even: SuperAlgebra, mod: BimoduleSpec
     return frozenset(UnknownId(k, i, j) for k, i, j in kept)
 
 
-def _weight_compatible(even: SuperAlgebra, mod: BimoduleSpec
+def _weight_compatible(even: SuperAlgebra, mod: BimoduleSpec,
+                       symmetric: bool = True
                        ) -> set[tuple[int, int, int]] | None:
-    """The (kind, i, j) of ``weight_compatible_unknowns``, or None when no
-    even basis vector acts diagonally."""
+    """The (kind, i, j) of ``weight_compatible_unknowns``, over ordered pairs
+    unless ``symmetric``, or None when no even basis vector acts diagonally."""
     ne, nm = even.dim, mod.module_dim
     den, rcol, _, _ = mod._integer_form
     kept: set[tuple[int, int, int]] | None = None
@@ -559,7 +551,8 @@ def _weight_compatible(even: SuperAlgebra, mod: BimoduleSpec
         targets = [(k, int(u * den)) for k, u in enumerate(mu)
                    if (u * den).denominator == 1]
         matching = {(k, i, j) for k, u in targets for i in range(nm)
-                    for j in bucket.get(u - lam[i], ()) if j >= i}
+                    for j in bucket.get(u - lam[i], ())
+                    if j >= i or not symmetric}
         kept = matching if kept is None else kept & matching
     return kept
 
@@ -735,17 +728,18 @@ class Classification:
         }
 
 
-def classify(even: SuperAlgebra, mod: BimoduleSpec, prefilter: bool = True,
+def classify(even: SuperAlgebra, mod: BimoduleSpec,
              strict: bool = False) -> Classification:
     """Determine every odd-times-odd product table compatible with the
     superidentity over the given skeleton.
 
-    ``prefilter`` applies ``annihilator_prefilter`` and
-    ``weight_compatible_unknowns`` before generating; ``system`` is then the
-    smaller system over the kept unknowns, and ``reduced`` its solution.
+    ``annihilator_prefilter`` and the weight filter of
+    ``weight_compatible_unknowns`` run before generating; ``system`` is then
+    the smaller system over the kept unknowns, and ``reduced`` its solution.
     ``solution`` is always that of the system with only the
     annihilator-flagged positions left out, bit for bit: the unknowns the
-    weights leave out come back as pivots with coordinate 0.
+    weights leave out come back as pivots with coordinate 0.  The unfiltered
+    route is ``solve(generate_constraints(even, mod))``.
     When the unit-row certificate (see the module docstring) holds,
     ``reduced`` is the zero solution of full rank, equal to
     ``solve(system)``, and ``system`` is generated only if it is read.
@@ -761,17 +755,17 @@ def classify(even: SuperAlgebra, mod: BimoduleSpec, prefilter: bool = True,
     report, already clean, is its verdict, and it is assembled when read.
 
     ``strict`` treats the two orders of each odd pair as independent
-    unknowns and verifies that the solver forces their equality (the
-    prefilters are skipped in that mode because they name unordered
-    unknowns).
+    unknowns and verifies that the solver forces their equality.  The weight
+    filter (the row of (x_i, x_j, h) reads one order alone) and the
+    certificate run over ordered pairs; the annihilator prefilter, whose
+    argument covers unordered products only, is skipped.
 
     The preconditions are checked before either prefilter runs, so a module
     that fails them raises ``InvalidStructure`` without further work.
     """
     _check_preconditions(even, mod)
-    filters = prefilter and not strict
-    filtered = annihilator_prefilter(even, mod) if filters else frozenset()
-    weights = _weight_compatible(even, mod) if filters else None
+    filtered = frozenset() if strict else annihilator_prefilter(even, mod)
+    weights = _weight_compatible(even, mod, not strict)
     # name only the kept unknowns off the flagged positions
     kept = None if weights is None else frozenset(
         UnknownId(k, i, j) for k, i, j in weights

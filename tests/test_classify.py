@@ -123,6 +123,51 @@ def test_module_over_another_even_algebra_is_rejected(entry):
         entry(other, module_n1(1))
 
 
+def non_leibniz_module():
+    """A 1-dimensional module with zero actions over an even algebra that
+    fails the Leibniz identity, [p,p] = q and [q,p] = p."""
+    even = SuperAlgebra([BasisVector(0, "p", Parity.EVEN),
+                         BasisVector(1, "q", Parity.EVEN)],
+                        {(0, 0): {1: 1}, (1, 0): {0: 1}})
+    return even, BimoduleSpec(even, ("m",), ([{}], [{}]), ([{}], [{}]))
+
+
+@pytest.mark.parametrize("entry", [generate_constraints, classify,
+                                   residual_matrix])
+def test_an_even_part_that_is_not_leibniz_is_rejected(entry):
+    even, mod = non_leibniz_module()
+    assert not check_leibniz(even).ok
+    with pytest.raises(InvalidStructure, match="even part fails") as exc:
+        entry(even, mod)
+    assert exc.value.report == check_leibniz(even)
+
+
+@pytest.mark.parametrize("identifier", ["n1:1", "n1:24", "m1:24", "m3:16:3"])
+def test_classify_checks_the_even_part_once(monkeypatch, capsys, identifier):
+    # the catalog's validation and classify's preconditions share one
+    # Leibniz report of the spec's even part, in the library and the CLI
+    calls = []
+    original = check_leibniz
+
+    def counted(A):
+        calls.append(A)
+        return original(A)
+
+    for name in ("algebra", "catalog", "classify", "cli"):
+        module = importlib.import_module(f"sl2super.{name}")
+        if getattr(module, "check_leibniz", None) is original:
+            monkeypatch.setattr(module, "check_leibniz", counted)
+    spec = resolve(identifier)
+    classify(sl2(), spec)
+    classify(sl2(), spec, strict=True)
+    check_bimodule_axioms(spec)
+    assert len(calls) == 1
+    calls.clear()
+    assert main(["classify", identifier]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("even,build,match", [
     (sl2(), lambda: bimodule_m3(6, 3, verbatim=True), "bimodule axioms"),
     (sl2().rescaled([2, 1, 1]), lambda: module_n1(2), "different even algebra"),
@@ -452,8 +497,9 @@ def test_prefilter_is_conservative(n):
     # the prefilter may only remove unknowns that the full system kills too
     for build in (bimodule_m1, bimodule_m2):
         with_f = classify(sl2(), build(n))
-        without = classify(sl2(), build(n), prefilter=False)
+        without = solve(generate_constraints(sl2(), build(n)))
         assert with_f.dimension == without.dimension
+        assert with_f.unknowns == without.unknowns
         assert with_f.vectors == without.vectors
 
 
@@ -653,16 +699,33 @@ PREFILTER_GRID = DIFFERENTIAL_GRID + SKIP_GRID + [
     "rescaled-m3:6:3", "printed-m3:8:3", "printed-m4:10:4"]
 
 
-@pytest.mark.parametrize("identifier", DIFFERENTIAL_GRID + SKIP_GRID)
-def test_weight_filtered_classification_equals_the_full_system(identifier):
+def and_strict(identifiers):
+    """(identifier, strict) cases: each identifier in the default mode,
+    under its own id, then each in strict mode."""
+    return [pytest.param(i, strict, id=i + "-strict" * strict)
+            for strict in (False, True) for i in identifiers]
+
+
+@pytest.mark.parametrize("identifier,strict",
+                         and_strict(DIFFERENTIAL_GRID + SKIP_GRID))
+def test_weight_filtered_classification_equals_the_full_system(identifier,
+                                                               strict):
+    # strict mode runs the weight filter over ordered pairs and the
+    # certificate, but flags no position: its solution is that of the whole
+    # ordered system
     mod = grid_module(identifier)
-    cl = classify(sl2(), mod)
-    full = generate_constraints(sl2(), mod, zero_odd_indices=cl.filtered)
+    cl = classify(sl2(), mod, strict=strict)
+    full = generate_constraints(sl2(), mod, symmetric=not strict,
+                                zero_odd_indices=cl.filtered)
     assert cl.solution == solve(full)
-    # the reduced system is the full one with the zeroed unknowns left out
+    assert not (strict and cl.filtered)
+    # the reduced system is the full one with the zeroed unknowns left out,
+    # both orders of each weight-compatible unknown kept in strict mode
     kept = cl.system.unknowns
-    assert set(kept) == set(full.unknowns) & weight_compatible_unknowns(
-        sl2(), mod)
+    weights = weight_compatible_unknowns(sl2(), mod)
+    assert set(kept) == {
+        u for u in full.unknowns
+        if UnknownId(u.kind, min(u.i, u.j), max(u.i, u.j)) in weights}
     assert [(r.coeffs, r.triple, r.component) for r in cl.system.rows] == (
         restricted_rows(full, kept))
 
@@ -781,45 +844,64 @@ def test_weight_prefilter_edge_modules():
         generate_constraints(sl2(), mod))
 
 
-def reference_annihilator_prefilter(even, mod):
-    """The odd positions in the span of the [a,m]+[m,a], saturated under
-    the right action: a Fraction ``RowSpace`` that re-images every echelon
-    row in each round until a full round adds nothing.  The oracle of the
-    integer worklist in ``annihilator_prefilter``."""
-    nm = mod.module_dim
-    if nm == 0:
-        return frozenset()
+def seed_span(even, mod):
+    """The Fraction ``RowSpace`` spanned by the [a,m]+[m,a]."""
     rcol, lcol = mod.right, mod.left
-    ne = even.dim
-    rs = RowSpace(nm)
-    for a in range(ne):
-        for m in range(nm):
+    rs = RowSpace(mod.module_dim)
+    for a in range(even.dim):
+        for m in range(mod.module_dim):
             vec = {}
             for r, cf in rcol[a][m].items():
                 vec[r] = vec.get(r, Fraction(0)) + cf
             for r, cf in lcol[a][m].items():
                 vec[r] = vec.get(r, Fraction(0)) + cf
             rs.add({r: v for r, v in vec.items() if v != 0})
+    return rs
+
+
+def right_images(even, mod, row):
+    """The images of ``row`` under the right action of each even basis
+    vector, zero images dropped."""
+    images = []
+    for a in range(even.dim):
+        img = {}
+        for m, cm in row.items():
+            for r, cf in mod.right[a][m].items():
+                val = img.get(r, Fraction(0)) + cm * cf
+                if val == 0:
+                    img.pop(r, None)
+                else:
+                    img[r] = val
+        if img:
+            images.append(img)
+    return images
+
+
+def reference_annihilator_prefilter(even, mod):
+    """The odd positions in the span of the [a,m]+[m,a], saturated under
+    the right action: a Fraction ``RowSpace`` that re-images every echelon
+    row in each round until a full round adds nothing.  The oracle of the
+    one-pass integer span in ``annihilator_prefilter``, which equals it on
+    every module that satisfies the axioms."""
+    nm = mod.module_dim
+    if nm == 0:
+        return frozenset()
+    rs = seed_span(even, mod)
     changed = True
     while changed:
         changed = False
         for row in list(rs.echelon_rows()):
-            for a in range(ne):
-                img = {}
-                for m, cm in row.items():
-                    for r, cf in rcol[a][m].items():
-                        val = img.get(r, Fraction(0)) + cm * cf
-                        if val == 0:
-                            img.pop(r, None)
-                        else:
-                            img[r] = val
-                if img and rs.add(img):
+            for img in right_images(even, mod, row):
+                if rs.add(img):
                     changed = True
     return frozenset(m for m in range(nm)
                      if rs.contains({m: Fraction(1)}))
 
 
-@pytest.mark.parametrize("identifier", PREFILTER_GRID)
+# the unsaturated module satisfies no axiom, and only the saturation of the
+# reference flags more than its seed span there
+@pytest.mark.parametrize("identifier",
+                         [i for i in PREFILTER_GRID if i != "unsaturated"])
 def test_annihilator_prefilter_matches_the_reference(identifier):
     mod = grid_module(identifier)
     assert annihilator_prefilter(sl2(), mod) == (
@@ -1020,6 +1102,31 @@ def test_the_unsaturated_module_needs_two_rounds():
         sl2(), unsaturated_module()) == {0, 1, 2}
 
 
+@pytest.mark.parametrize("identifier", [
+    i for i in PREFILTER_GRID if i not in VIOLATION_TOTALS])
+def test_the_right_action_keeps_the_seed_span(identifier):
+    # on a bimodule [s(a,m), b] = s(a,[m,b]) + s([a,b],m), s(a,m) being
+    # [a,m]+[m,a], so the reference's first round of saturation, and so
+    # every round, adds no row to the span of the seeds
+    mod = grid_module(identifier)
+    assert check_bimodule_axioms(mod).ok
+    rs = seed_span(sl2(), mod)
+    rank = rs.rank
+    for row in list(rs.echelon_rows()):
+        for img in right_images(sl2(), mod, row):
+            assert rs.contains(img)
+    assert rs.rank == rank
+
+
+def test_the_one_pass_prefilter_flags_the_seed_span_alone():
+    # the unsaturated module fails the axioms, so the identity that makes
+    # the seed span closed does not hold there: the right action of h takes
+    # x_0 to x_1 and x_1 to x_2 outside it.  classify never reaches such a
+    # module, and the prefilter, which no longer saturates, flags x_0 alone
+    assert not check_bimodule_axioms(unsaturated_module()).ok
+    assert annihilator_prefilter(sl2(), unsaturated_module()) == {0}
+
+
 @pytest.mark.parametrize("identifier,flagged", [
     ("n1:96", 0), ("m1:96", 95), ("m3:64:3", 126), ("m4:64:3", 63),
     ("n2:96", 97)])
@@ -1167,18 +1274,21 @@ def test_a_certified_zero_is_the_solution_of_the_system(monkeypatch,
         assert sol.vectors == () and cl.dimension == 0
 
 
-@pytest.mark.parametrize("identifier", [
+@pytest.mark.parametrize("identifier,strict", and_strict([
     "n1:1", "n1:1+n1:0", "n1:3", "m1:3", "m3:4:2", "zero:2",
-    "conjugated-n1:2", "rescaled-n1:3"])
+    "conjugated-n1:2", "rescaled-n1:3"]))
 @given(st.randoms(use_true_random=False))
 @settings(max_examples=20, deadline=None)
-def test_the_unit_row_certificate_is_sound(identifier, rng):
+def test_the_unit_row_certificate_is_sound(identifier, strict, rng):
     # classify over a kept set of at most one kind per odd pair, mostly the
     # weight-compatible one, in place of the weight filter's; its answer,
     # certified or solved, must be the solution of the full system with the
     # other unknowns left out, which no kept-pair shortcut produces.  Only
     # n1:1 and n1:1+n1:0 have a kernel, so only there can a false
-    # certificate give a wrong answer
+    # certificate give a wrong answer.  In strict mode the kept set is over
+    # ordered pairs, and each kind is kept in both orders, as the weight
+    # filter keeps it: the symmetry check compares each unknown with its
+    # mirror
     mod = grid_module(identifier)
     weights = weight_compatible_unknowns(sl2(), mod)
     kept = set()
@@ -1187,17 +1297,23 @@ def test_the_unit_row_certificate_is_sound(identifier, rng):
             choice = rng.random()
             if choice < 0.75:
                 kinds = sorted(u.kind for u in weights if (u.i, u.j) == (i, j))
-                kept.update((k, i, j) for k in kinds[:1])
+                chosen = kinds[:1]
             elif choice < 0.9:
-                kept.add((rng.randrange(3), i, j))
+                chosen = [rng.randrange(3)]
+            else:
+                chosen = []
+            kept.update((k, i, j) for k in chosen)
+            if strict:
+                kept.update((k, j, i) for k in chosen)
     module = importlib.import_module("sl2super.classify")
     with mock.patch.object(module, "_weight_compatible",
                            return_value=kept), \
             mock.patch.object(module, "generate_constraints",
                               wraps=generate_constraints) as generate:
-        cl = classify(sl2(), mod)
+        cl = classify(sl2(), mod, strict=strict)
         certified = not generate.called
-    full = generate_constraints(sl2(), mod, zero_odd_indices=cl.filtered)
+    full = generate_constraints(sl2(), mod, symmetric=not strict,
+                                zero_odd_indices=cl.filtered)
     unknowns = tuple(u for u in full.unknowns
                      if (u.kind, u.i, u.j) in kept)
     sol = solve(ConstraintSystem(unknowns, tuple(
@@ -1358,8 +1474,10 @@ def test_strict_mode_symmetry_emerges():
     assert cl.strict and cl.symmetry_emerged is True
     assert cl.dimension == 1
     assert cl.names == ("S1", "S2")
-    # strict unknowns double the off-diagonal pairs
-    assert len(cl.system.unknowns) == 12
+    # strict unknowns double the off-diagonal pairs; the weight filter
+    # keeps a_0_0, b_1_1, c_0_1 and c_1_0
+    assert len(cl.solution.unknowns) == 12
+    assert len(cl.system.unknowns) == 4
     assert cl.solution.rank == 11
 
 
