@@ -66,7 +66,7 @@ from .algebra import (BimoduleSpec, SuperAlgebra, Vec, check_bimodule_axioms,
                       check_leibniz_super)
 from .catalog import (OddBracketTable, assemble, module_n1, sl2,
                       superalgebra_s1, superalgebra_s2)
-from .linalg import (IntSpan, Matrix, RowSpace, format_scalar, parse_scalar,
+from .linalg import (Matrix, RowSpace, format_scalar, parse_scalar,
                      rational_sqrt)
 
 
@@ -490,11 +490,15 @@ def annihilator_prefilter(even: SuperAlgebra, mod: BimoduleSpec
     unordered product keyed on the pair vanishes).  On a bimodule the span
     is closed under the right action, [s(a,m), b] = s(a,[m,b]) + s([a,b],m)
     (the axioms on (m,a,b) plus those on (a,m,b)), so it is not saturated:
-    each s(a,m), read from the spec's integer form, enters an ``IntSpan``
-    once.  ``classify`` checks the axioms before it calls this.
+    each s(a,m), read from the spec's integer form, enters a ``RowSpace``
+    once, in integers.  ``classify`` checks the axioms before it calls
+    this.  Both the soundness and the closure follow from the bimodule
+    axioms: on a table that fails them, such as an as-printed chain
+    (``annihilator --verbatim-tables``), the positions returned are only
+    those in the span of the s(a,m), and ``verify`` is the check.
     """
     _, right, left, _ = mod._integer_form
-    span = IntSpan()
+    span = RowSpace(mod.module_dim)
     for ra, la in zip(right, left):
         for rm, lm in zip(ra, la):
             span.add({r: rm.get(r, 0) + lm.get(r, 0)

@@ -3,9 +3,11 @@
 Everything in this package reduces to row operations over the rationals:
 identity checkers need kernels of stacked multiplication operators, and the
 classification solver needs canonical nullspaces of sparse constraint
-systems.  All arithmetic uses ``fractions.Fraction`` (arbitrary precision,
-always in lowest terms with positive denominator), so results are exact and
-platform independent.  No floating point anywhere.
+systems.  Scalars are ``fractions.Fraction`` (arbitrary precision, always
+in lowest terms with positive denominator).  The row-space engine,
+``RowSpace``, eliminates in integers, fraction-free, and builds a
+``Fraction`` only where a reduced echelon form or a nullspace is read.
+Results are exact and platform independent.  No floating point anywhere.
 
 Rational results transfer to any extension field: the rank of a matrix with
 rational entries does not change over R or C, so solution-space dimensions
@@ -15,7 +17,7 @@ computed here are also the complex ones.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Iterable
 
 Scalar = Fraction
@@ -54,49 +56,75 @@ def rational_sqrt(value) -> Fraction | None:
     return None
 
 
-class RowSpace:
-    """Incrementally maintained reduced row echelon basis of sparse rows.
+def _cleared(row: dict[int, Fraction]) -> dict[int, int]:
+    """``row`` times the lcm of its denominators: an integer row."""
+    den = lcm(*[v.denominator for v in row.values()])
+    return {c: v.numerator * (den // v.denominator) for c, v in row.items()}
 
-    Rows are dicts mapping column index to a nonzero Fraction.  The basis is
-    kept fully reduced: every pivot coefficient is 1 and every pivot column
-    is zero in all other stored rows.  Because the reduced echelon form of a
-    row space is unique, the result does not depend on insertion order.
+
+class RowSpace:
+    """Span of sparse rational rows, with its canonical reduced echelon form.
+
+    Rows are dicts mapping column index to an ``int`` or a ``Fraction``.
+    The span is stored as echelon rows with distinct leading (smallest)
+    columns, each a primitive integer row: its entries have gcd 1 and its
+    leading entry is positive.  A row is reduced against them fraction-free,
+    leading column first, its denominators cleared once if a ``Fraction``
+    reaches the lead, so integer rows never build a ``Fraction``.  The
+    stored rows are not reduced against each other.  ``echelon_rows`` and
+    ``nullspace`` read the reduced echelon form (pivot entries 1, each pivot
+    column zero in every other row), which they build from them by
+    back-substitution.  That form is unique to the span, so what they return
+    does not depend on the order in which rows were added.
     """
 
     def __init__(self, ncols: int):
         if ncols < 0:
             raise ValueError("ncols must be nonnegative")
         self.ncols = ncols
-        self._pivot_rows: dict[int, dict[int, Fraction]] = {}
+        self._rows: dict[int, dict[int, int]] = {}
 
     @property
     def rank(self) -> int:
-        return len(self._pivot_rows)
+        return len(self._rows)
 
     def pivot_columns(self) -> list[int]:
-        return sorted(self._pivot_rows)
+        return sorted(self._rows)
 
     def reduce(self, row: dict[int, Fraction]) -> dict[int, Fraction]:
-        """Residual of ``row`` after elimination against the current basis."""
-        out = dict(row)
-        for col in sorted(row):
-            if col >= self.ncols:
-                raise IndexError(f"column {col} out of range 0..{self.ncols - 1}")
-            coeff = out.get(col, _ZERO)
-            if coeff == 0:
-                out.pop(col, None)
-                continue
-            pivot = self._pivot_rows.get(col)
+        """A positive integer multiple of ``row``, less a combination of the
+        stored rows, whose leading column is no pivot: empty exactly when
+        ``row`` lies in the span.  A column outside 0..ncols-1 raises
+        IndexError."""
+        out = {c: v for c, v in row.items() if v}
+        while out:
+            lead = min(out)
+            pivot = self._rows.get(lead)
             if pivot is None:
-                continue
-            # pivot rows contain no other pivot columns, so this subtraction
-            # only touches free columns and one pass suffices
+                break
+            q = out[lead]
+            if type(q) is not int:
+                out = _cleared(out)
+                q = out[lead]
+            # out <- p * out - q * pivot clears the lead column and touches
+            # no column before it, since pivot starts there
+            p = pivot[lead]
+            if p != 1:
+                g = gcd(p, q)
+                p, q = p // g, q // g
+                if p != 1:
+                    out = {c: p * v for c, v in out.items()}
             for c, v in pivot.items():
-                new = out.get(c, _ZERO) - coeff * v
-                if new == 0:
-                    out.pop(c, None)
-                else:
+                new = out.get(c, 0) - q * v
+                if new:
                     out[c] = new
+                else:
+                    del out[c]
+        # the stored rows have no column out of range, so such a column of
+        # row is never cleared and is still in out
+        if out and (lead < 0 or max(out) >= self.ncols):
+            col = lead if lead < 0 else max(out)
+            raise IndexError(f"column {col} out of range 0..{self.ncols - 1}")
         return out
 
     def contains(self, row: dict[int, Fraction]) -> bool:
@@ -107,104 +135,65 @@ class RowSpace:
         residual = self.reduce(row)
         if not residual:
             return False
+        try:
+            g = gcd(*residual.values())
+        except TypeError:  # a Fraction entry
+            residual = _cleared(residual)
+            g = gcd(*residual.values())
         lead = min(residual)
-        inv = _ONE / residual[lead]
-        new_row = {c: v * inv for c, v in residual.items() if c != lead}
-        # restore the reduced invariant in the existing basis
-        for pcol, prow in self._pivot_rows.items():
-            coeff = prow.get(lead)
-            if coeff is None:
-                continue
-            del prow[lead]
-            for c, v in new_row.items():
-                cur = prow.get(c, _ZERO) - coeff * v
-                if cur == 0:
-                    prow.pop(c, None)
-                else:
-                    prow[c] = cur
-        new_row[lead] = _ONE
-        self._pivot_rows[lead] = new_row
+        if residual[lead] < 0:
+            g = -g
+        self._rows[lead] = {c: v // g for c, v in residual.items()}
         return True
+
+    def _reduced_rows(self) -> dict[int, dict[int, Fraction]]:
+        """The reduced echelon rows by pivot column, built from the stored
+        rows by back-substitution, last pivot first."""
+        reduced: dict[int, dict[int, Fraction]] = {}
+        for lead in sorted(self._rows, reverse=True):
+            row = self._rows[lead]
+            out = {c: Fraction(v, row[lead]) for c, v in row.items()}
+            # a reduced row is zero at every other pivot column, so clearing
+            # one pivot column of out leaves the others alone
+            for c in row:
+                prow = reduced.get(c)
+                if prow is None:
+                    continue
+                coeff = out[c]
+                for f, v in prow.items():
+                    new = out.get(f, _ZERO) - coeff * v
+                    if new:
+                        out[f] = new
+                    else:
+                        del out[f]
+            reduced[lead] = out
+        return reduced
 
     def echelon_rows(self) -> list[dict[int, Fraction]]:
         """Nonzero rows of the reduced echelon form, ordered by pivot column."""
-        return [dict(self._pivot_rows[c]) for c in sorted(self._pivot_rows)]
+        reduced = self._reduced_rows()
+        return [dict(reduced[c]) for c in sorted(reduced)]
 
     def nullspace(self) -> list[tuple[Fraction, ...]]:
         """Canonical nullspace basis, one vector per free column.
 
         The vector for free column f has coordinate 1 there, 0 at the other
-        free columns, and the negated echelon entries at the pivot columns.
-        Vectors are ordered by free column index.
+        free columns, and the negated reduced echelon entries at the pivot
+        columns.  Vectors are ordered by free column index.  At full rank
+        the basis is empty and the reduced echelon form is not built.
         """
-        pivots = self._pivot_rows
-        free = [c for c in range(self.ncols) if c not in pivots]
-        basis = []
-        for f in free:
-            vec = [_ZERO] * self.ncols
+        if self.rank == self.ncols:
+            return []
+        reduced = self._reduced_rows()
+        basis = {f: [_ZERO] * self.ncols for f in range(self.ncols)
+                 if f not in reduced}
+        for f, vec in basis.items():
             vec[f] = _ONE
-            for pcol, prow in pivots.items():
-                coeff = prow.get(f)
-                if coeff is not None:
-                    vec[pcol] = -coeff
-            basis.append(tuple(vec))
-        return basis
-
-
-class IntSpan:
-    """Span of sparse integer rows, for membership tests only.
-
-    Rows are dicts mapping column index to an int.  The span is kept as
-    echelon rows with distinct leading (smallest) columns, each primitive:
-    its entries have gcd 1 and its leading entry is positive.  A row is
-    reduced by fraction-free elimination, leading column first, so no
-    ``Fraction`` is ever built; scaling a row does not change the span.
-    Unlike ``RowSpace`` the rows are not reduced against each other, so
-    they give membership but no canonical basis.
-    """
-
-    def __init__(self):
-        self._rows: dict[int, dict[int, int]] = {}
-
-    def reduce(self, row: dict[int, int]) -> dict[int, int]:
-        """A nonzero multiple of the residual of ``row``, empty exactly
-        when ``row`` lies in the span."""
-        out = {c: v for c, v in row.items() if v}
-        while out:
-            lead = min(out)
-            pivot = self._rows.get(lead)
-            if pivot is None:
-                break
-            # out <- p * out - q * pivot clears the lead column and touches
-            # no column before it, since pivot starts there
-            g = gcd(pivot[lead], out[lead])
-            p, q = pivot[lead] // g, out[lead] // g
-            if p != 1:
-                out = {c: p * v for c, v in out.items()}
-            for c, v in pivot.items():
-                new = out.get(c, 0) - q * v
-                if new:
-                    out[c] = new
-                else:
-                    del out[c]
-        return out
-
-    def contains(self, row: dict[int, int]) -> bool:
-        return not self.reduce(row)
-
-    def add(self, row: dict[int, int]) -> dict[int, int] | None:
-        """Insert a row; returns the primitive row stored when it enlarged
-        the span, None otherwise."""
-        residual = self.reduce(row)
-        if not residual:
-            return None
-        lead = min(residual)
-        g = gcd(*residual.values())
-        if residual[lead] < 0:
-            g = -g
-        stored = {c: v // g for c, v in residual.items()}
-        self._rows[lead] = stored
-        return stored
+        for pcol, prow in reduced.items():
+            for c, v in prow.items():
+                if c != pcol:
+                    basis[c][pcol] = -v
+        return [tuple(vec) for vec in basis.values()]
 
 
 class Matrix:

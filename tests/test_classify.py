@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_rowspace import RowSpace as ReferenceRowSpace
 from sl2super.algebra import (BasisVector, BimoduleSpec, Parity, SuperAlgebra,
                               _leibniz_residuals, check_bimodule_axioms,
                               check_leibniz, check_leibniz_super)
@@ -845,9 +846,10 @@ def test_weight_prefilter_edge_modules():
 
 
 def seed_span(even, mod):
-    """The Fraction ``RowSpace`` spanned by the [a,m]+[m,a]."""
+    """The reference Fraction row space spanned by the [a,m]+[m,a]: not
+    the engine that ``annihilator_prefilter`` uses, which it checks."""
     rcol, lcol = mod.right, mod.left
-    rs = RowSpace(mod.module_dim)
+    rs = ReferenceRowSpace(mod.module_dim)
     for a in range(even.dim):
         for m in range(mod.module_dim):
             vec = {}
@@ -879,10 +881,10 @@ def right_images(even, mod, row):
 
 def reference_annihilator_prefilter(even, mod):
     """The odd positions in the span of the [a,m]+[m,a], saturated under
-    the right action: a Fraction ``RowSpace`` that re-images every echelon
-    row in each round until a full round adds nothing.  The oracle of the
-    one-pass integer span in ``annihilator_prefilter``, which equals it on
-    every module that satisfies the axioms."""
+    the right action: the reference Fraction row space of ``seed_span``,
+    re-imaging every echelon row in each round until a full round adds
+    nothing.  The oracle of the one-pass span in ``annihilator_prefilter``,
+    which equals it on every module that satisfies the axioms."""
     nm = mod.module_dim
     if nm == 0:
         return frozenset()

@@ -1,13 +1,14 @@
 """Exact rational linear algebra: scalars, row spaces, matrices."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_rowspace import RowSpace as ReferenceRowSpace
 from sl2super.linalg import (
-    IntSpan,
     Matrix,
     RowSpace,
     format_scalar,
@@ -130,37 +131,105 @@ def test_rowspace_nullspace_orthogonal_to_rows(data):
             assert sum(coef * vec[j] for j, coef in row.items()) == 0
 
 
-def test_intspan_add_and_contains():
-    span = IntSpan()
-    assert span.add({0: -2, 1: 4}) == {0: 1, 1: -2}  # primitive, lead > 0
-    assert span.add({1: 3, 2: 6}) == {1: 1, 2: 2}
+def test_rowspace_stores_primitive_integer_rows():
+    rs = RowSpace(3)
+    assert rs.add({0: -2, 1: 4})
+    assert rs.add({1: Fraction(3, 2), 2: Fraction(3)})
+    # each stored row is the primitive integer multiple with a positive lead
+    assert rs._rows == {0: {0: 1, 1: -2}, 1: {1: 1, 2: 2}}
     # (3, -6, 0) is 3 times the first row; (1, 0, 4) is the first plus twice
     # the second
-    assert span.add({0: 3, 1: -6}) is None
-    assert span.contains({0: 1, 2: 4})
-    assert not span.contains({2: 1})
-    assert span.contains({}) and span.contains({0: 0})
+    assert not rs.add({0: 3, 1: -6})
+    assert rs.contains({0: 1, 2: 4})
+    assert not rs.contains({2: 1})
+    assert rs.contains({}) and rs.contains({0: 0})
+    assert rs.echelon_rows() == [{0: 1, 2: 4}, {1: 1, 2: 2}]
+    assert rs.nullspace() == [(Fraction(-4), Fraction(-2), Fraction(1))]
+
+
+@pytest.mark.parametrize("col", [-1, 3])
+def test_rowspace_rejects_a_column_out_of_range(col):
+    rs = RowSpace(3)
+    assert rs.add({0: 1})
+    # the second row's in-range part lies in the span and is eliminated
+    for row in ({col: 1}, {0: Fraction(1), col: Fraction(2)}):
+        with pytest.raises(IndexError):
+            rs.add(row)
+        with pytest.raises(IndexError):
+            rs.contains(row)
+    assert rs.rank == 1 and len(rs.nullspace()) == 2
+
+
+SCALARS = {
+    "int": st.integers(-30, 30),
+    "fraction": rationals,
+    "mixed": st.one_of(st.integers(-30, 30), rationals),
+}
 
 
 @st.composite
-def integer_rows(draw, ncols):
-    return draw(st.dictionaries(st.integers(0, ncols - 1),
-                                st.integers(-30, 30), max_size=ncols))
+def typed_rows(draw, ncols):
+    scalars = SCALARS[draw(st.sampled_from(sorted(SCALARS)))]
+    return draw(st.dictionaries(st.integers(0, ncols - 1), scalars,
+                                max_size=ncols))
+
+
+def combination(rows, coeffs):
+    out = {}
+    for row, k in zip(rows, coeffs):
+        for c, v in row.items():
+            out[c] = out.get(c, 0) + k * v
+    return out
+
+
+def as_fractions(row):
+    return {c: Fraction(v) for c, v in row.items()}
+
+
+def assert_stored_rows_primitive(rs):
+    for lead, row in rs._rows.items():
+        assert min(row) == lead and row[lead] > 0
+        assert all(type(v) is int and v for v in row.values())
+        assert gcd(*row.values()) == 1
 
 
 @given(st.data())
-@settings(max_examples=60, deadline=None)
-def test_intspan_membership_matches_rowspace(data):
+@settings(max_examples=150, deadline=None)
+def test_rowspace_matches_the_fraction_reference(data):
     ncols = data.draw(st.integers(min_value=1, max_value=6))
-    rows = data.draw(st.lists(integer_rows(ncols), max_size=6))
-    probes = data.draw(st.lists(integer_rows(ncols), max_size=6))
-    span, rs = IntSpan(), RowSpace(ncols)
+    rows = data.draw(st.lists(typed_rows(ncols), max_size=6))
+    # integer combinations of the drawn rows, so that dependent rows and
+    # rows that need several elimination steps are common
+    coeffs = st.lists(st.integers(-3, 3), min_size=len(rows),
+                      max_size=len(rows))
+    rows += [combination(rows, k)
+             for k in data.draw(st.lists(coeffs, max_size=3))]
+    rows = data.draw(st.permutations(rows))
+    rs, ref = RowSpace(ncols), ReferenceRowSpace(ncols)
     for row in rows:
-        as_fractions = {c: Fraction(v) for c, v in row.items() if v}
-        assert (span.add(row) is not None) == rs.add(as_fractions)
-    for probe in probes + [{c: 1} for c in range(ncols)]:
-        assert span.contains(probe) == rs.contains(
-            {c: Fraction(v) for c, v in probe.items() if v})
+        assert rs.add(row) == ref.add(as_fractions(row))
+        assert rs.rank == ref.rank
+        assert rs.pivot_columns() == ref.pivot_columns()
+        assert rs.echelon_rows() == ref.echelon_rows()
+        assert rs.nullspace() == ref.nullspace()
+        assert all(type(v) is Fraction for row in rs.echelon_rows()
+                   for v in row.values())
+        assert all(type(v) is Fraction for vec in rs.nullspace()
+                   for v in vec)
+        assert_stored_rows_primitive(rs)
+    probes = data.draw(st.lists(typed_rows(ncols), max_size=4))
+    for probe in probes + rows + [{c: 1} for c in range(ncols)]:
+        assert rs.contains(probe) == ref.contains(as_fractions(probe))
+        # reduce gives a nonzero integer multiple of the row modulo the span
+        residual = ref.reduce(as_fractions(probe))
+        multiple = ref.reduce(as_fractions(rs.reduce(probe)))
+        if residual:
+            lead = min(residual)
+            k = multiple[lead] / residual[lead]
+            assert k.denominator == 1 and k != 0
+            assert multiple == {c: k * v for c, v in residual.items()}
+        else:
+            assert not multiple
 
 
 # ---------------------------------------------------------------------------
