@@ -2,16 +2,21 @@
 the two 5-dimensional Leibniz superalgebras built on the 2-dimensional odd
 part.
 
-Bimodule families (n is the highest weight of the leading summand):
+Every bimodule family is a chain of k simple summands of dimensions n+1,
+n-1, ..., n-2k+3 (n is the highest weight of the leading summand), acted
+on from the right by the standard ladders, with a coupled left action on
+alternate summands: the odd-numbered ones (m4's parity) or the
+even-numbered ones (m3's parity).  One builder, ``_chain_bimodule``,
+writes the actions of all six families:
 
-* ``module_n1(n)``  simple ladder, left action = -(right action)
-* ``module_n2(n)``  simple ladder, zero left action
-* ``bimodule_m1(n)``, ``bimodule_m2(n)``  the two indecomposable pairs of
-  simple summands of dimensions n+1 and n-1
-* ``bimodule_m3(n, k)``, ``bimodule_m4(n, k)``  the k-summand chains with
-  dimensions n+1, n-1, ..., n-2k+3; alternating summands carry a coupled
-  left action (even superscripts for m3, odd superscripts for m4), so
-  m3(n,2) equals m2(n) and m4(n,2) equals m1(n)
+* ``module_n1(n)``  k = 1, its summand coupled: simple ladder, left action
+  = -(right action)
+* ``module_n2(n)``  k = 1, nothing coupled: simple ladder, zero left action
+* ``bimodule_m1(n)``, ``bimodule_m2(n)``  k = 2 with m4's and m3's parity:
+  the two indecomposable pairs of simple summands of dimensions n+1 and
+  n-1, on the basis x_i, y_j
+* ``bimodule_m3(n, k)``, ``bimodule_m4(n, k)``  k >= 2 on the basis v_i^q,
+  so m3(n,2) equals m2(n) and m4(n,2) equals m1(n) but for the labels
 
 The source tables for the multi-summand families circulate with transcription
 slips (index and coefficient typos).  The default constructors apply the
@@ -28,6 +33,7 @@ repaired table with the ``Patch`` of each of its family's errata applied
 
 from __future__ import annotations
 
+import re
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -61,63 +67,22 @@ def sl2() -> SuperAlgebra:
 # ---------------------------------------------------------------------------
 
 
-class _ActionBuilder:
-    """Accumulates one action of each of the three generators, column by
-    column: ``columns[gen][col]`` maps a row to its integer coefficient in
-    the image of module vector ``col``, the form ``BimoduleSpec`` takes (and
-    copies, ints kept as ints and zeros dropped)."""
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.columns: list[list[dict[int, int]]] = [
-            [{} for _ in range(dim)] for _ in range(3)]
-
-    def add(self, gen: int, row: int, col: int, value: int) -> None:
-        if not 0 <= row < self.dim:
-            return  # out-of-range ladder indices denote the zero vector
-        image = self.columns[gen][col]
-        image[row] = image.get(row, 0) + value
-
-    def set_column(self, gen: int, col: int,
-                   terms: list[tuple[int, int]]) -> None:
-        """Replace the whole image of basis vector ``col`` under ``gen``."""
-        self.columns[gen][col] = {}
-        for row, value in terms:
-            self.add(gen, row, col, value)
-
-
-def _ladder_right(builder: _ActionBuilder, offset: int, m: int) -> None:
-    """Standard simple-module right action on slots offset..offset+m:
-    [v_i,h] = (m-2i)v_i, [v_i,f] = v_{i+1}, [v_i,e] = -i(m-i+1)v_{i-1}."""
-    for i in range(m + 1):
-        builder.add(H, offset + i, offset + i, m - 2 * i)
-        if i + 1 <= m:
-            builder.add(F, offset + i + 1, offset + i, 1)
-        if i >= 1:
-            builder.add(E, offset + i - 1, offset + i, -i * (m - i + 1))
-
-
 def module_n1(n: int) -> BimoduleSpec:
-    """Simple (n+1)-dimensional ladder bimodule with left = -right."""
+    """Simple (n+1)-dimensional ladder bimodule with left = -right: the
+    one-summand chain with its summand coupled."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    right = _ActionBuilder(n + 1)
-    _ladder_right(right, 0, n)
-    left = [[{r: -v for r, v in image.items()} for image in action]
-            for action in right.columns]
-    labels = tuple(f"x_{i}" for i in range(n + 1))
-    return BimoduleSpec(sl2(), labels, right.columns, left)
+    return _chain_bimodule(n, 1, 1,
+                           labels=tuple(f"x_{i}" for i in range(n + 1)))
 
 
 def module_n2(n: int) -> BimoduleSpec:
-    """Simple (n+1)-dimensional ladder bimodule with zero left action."""
+    """Simple (n+1)-dimensional ladder bimodule with zero left action: the
+    one-summand chain with no summand coupled."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    right = _ActionBuilder(n + 1)
-    _ladder_right(right, 0, n)
-    labels = tuple(f"x_{i}" for i in range(n + 1))
-    return BimoduleSpec(sl2(), labels, right.columns,
-                        _ActionBuilder(n + 1).columns)
+    return _chain_bimodule(n, 1, 0,
+                           labels=tuple(f"x_{i}" for i in range(n + 1)))
 
 
 def bimodule_m1(n: int) -> BimoduleSpec:
@@ -129,29 +94,14 @@ def bimodule_m1(n: int) -> BimoduleSpec:
         [x_i,e] = -i(n-i+1)x_{i-1}   [e,x_i] = i(n-i+1)x_{i-1} + i(i-1)y_{i-2}
 
     with the y-summand (dimension n-1) acted on only from the right by the
-    standard ladder of highest weight n-2.
+    standard ladder of highest weight n-2: the two-summand chain with m4's
+    coupling parity, on the basis x_i, y_j.
     """
     if n < 2:
         raise ValueError("need n >= 2 so both summands are nonempty")
-    dim = (n + 1) + (n - 1)
-    oy = n + 1  # y-block offset
-    right = _ActionBuilder(dim)
-    left = _ActionBuilder(dim)
-    _ladder_right(right, 0, n)
-    _ladder_right(right, oy, n - 2)
-    for i in range(n + 1):
-        left.add(H, i, i, -(n - 2 * i))
-        if i - 1 <= n - 2:
-            left.add(H, oy + i - 1, i, -2 * i)
-        if i + 1 <= n:   # x_{n+1} is zero, not the next block
-            left.add(F, i + 1, i, -1)
-        if i <= n - 2:
-            left.add(F, oy + i, i, 1)
-        left.add(E, i - 1, i, i * (n - i + 1))
-        left.add(E, oy + i - 2, i, i * (i - 1))
     labels = tuple(f"x_{i}" for i in range(n + 1)) + \
         tuple(f"y_{j}" for j in range(n - 1))
-    spec = BimoduleSpec(sl2(), labels, right.columns, left.columns)
+    spec = _chain_bimodule(n, 2, 1, labels=labels)
     _validate(spec, f"m1:{n}")
     return spec
 
@@ -166,37 +116,30 @@ def bimodule_m2(n: int) -> BimoduleSpec:
                                 [e,y_j] = (n-j-1)((n-j)x_j + j y_{j-1})
 
     (the f row repairs a stray index, see ERRATA); the x-summand is acted on
-    only from the right.
+    only from the right.  This is the two-summand chain with m3's coupling
+    parity, on the basis x_i, y_j.
     """
     if n < 2:
         raise ValueError("need n >= 2 so both summands are nonempty")
-    dim = (n + 1) + (n - 1)
-    oy = n + 1
-    right = _ActionBuilder(dim)
-    left = _ActionBuilder(dim)
-    _ladder_right(right, 0, n)
-    _ladder_right(right, oy, n - 2)
-    for j in range(n - 1):
-        left.add(H, j + 1, oy + j, 2 * (n - j - 1))
-        left.add(H, oy + j, oy + j, -(n - 2 * j - 2))
-        left.add(F, j + 2, oy + j, 1)
-        if j + 1 <= n - 2:
-            left.add(F, oy + j + 1, oy + j, -1)
-        left.add(E, j, oy + j, (n - j - 1) * (n - j))
-        left.add(E, oy + j - 1, oy + j, (n - j - 1) * j)
     labels = tuple(f"x_{i}" for i in range(n + 1)) + \
         tuple(f"y_{j}" for j in range(n - 1))
-    spec = BimoduleSpec(sl2(), labels, right.columns, left.columns)
+    spec = _chain_bimodule(n, 2, 0, labels=labels)
     _validate(spec, f"m2:{n}")
     return spec
 
 
 def _chain_bimodule(n: int, k: int, coupled_rem: int,
-                    patches: tuple[Patch, ...]) -> BimoduleSpec:
-    """Repaired k-summand chain on the basis v_i^q, summand by summand.
-    Summand q (1-based) has dimension n-2q+3 and highest weight
-    m_q = n-2q+2; the right action is block diagonal with the standard
-    ladders.  Blocks with q % 2 == coupled_rem carry the left action
+                    patches: tuple[Patch, ...] = (),
+                    labels: tuple[str, ...] | None = None) -> BimoduleSpec:
+    """Repaired k-summand chain, summand by summand, on the basis v_i^q
+    unless ``labels`` names it.  Summand q (1-based) has dimension n-2q+3
+    and highest weight m_q = n-2q+2; the right action is block diagonal
+    with the standard ladders
+
+        [v_i^q,h] = (m-2i) v_i^q   [v_i^q,f] = v_{i+1}^q
+        [v_i^q,e] = -i(m-i+1) v_{i-1}^q
+
+    Blocks with q % 2 == coupled_rem carry the left action
 
         [h,v_i^q] = 2(m+1-i) v_{i+1}^{q-1} - (m-2i) v_i^q  - 2i v_{i-1}^{q+1}
         [f,v_i^q] = v_{i+2}^{q-1}          - v_{i+1}^q     + v_i^{q+1}
@@ -209,62 +152,69 @@ def _chain_bimodule(n: int, k: int, coupled_rem: int,
     maps are equivariant, which is what makes the axioms hold.  Each of
     ``patches`` then overrides the columns it covers (see ``Patch``).
     """
-    if k < 2:
-        raise ValueError("need at least two summands (k >= 2)")
     if n - 2 * k + 3 < 1:
         raise ValueError(f"summand dimensions must stay positive: need n >= {2 * k - 2}")
     # dims[q] and offsets[q] belong to summand q, counted from 1
     dims = [0] + [n - 2 * q + 3 for q in range(1, k + 1)]
     offsets = [sum(dims[:q]) for q in range(k + 1)]
-    labels = tuple(f"v_{i}^{q}" for q in range(1, k + 1)
-                   for i in range(dims[q]))
-    right = _ActionBuilder(len(labels))
-    left = _ActionBuilder(len(labels))
+    if labels is None:
+        labels = tuple(f"v_{i}^{q}" for q in range(1, k + 1)
+                       for i in range(dims[q]))
+    # right[gen][col] and left[gen][col]: the image of module vector col
+    right = [[{} for _ in labels] for _ in range(3)]
+    left = [[{} for _ in labels] for _ in range(3)]
 
-    def setcol(builder: _ActionBuilder, gen: int, q: int, i: int,
-               terms: list[tuple[tuple[int, int], int]]) -> None:
-        # the image of v_i^q is the sum of c v_{i'}^{q'} over the terms
-        # ((q', i'), c) that fall inside the chain
-        builder.set_column(gen, offsets[q] + i,
-                           [(offsets[tq] + ti, c) for (tq, ti), c in terms
-                            if 1 <= tq <= k and 0 <= ti < dims[tq]])
+    def column(terms: list[tuple[tuple[int, int], int]]) -> dict[int, int]:
+        # the sum of c v_{i'}^{q'} over the terms ((q', i'), c) that fall
+        # inside the chain
+        return {offsets[tq] + ti: c for (tq, ti), c in terms
+                if 1 <= tq <= k and 0 <= ti < dims[tq]}
 
     for q in range(1, k + 1):
         m = n - 2 * q + 2
-        _ladder_right(right, offsets[q], m)
-        if q % 2 != coupled_rem:
-            continue
-        for i in range(dims[q]):
-            setcol(left, H, q, i, [((q - 1, i + 1), 2 * (m + 1 - i)),
+        for i in range(m + 1):
+            col = offsets[q] + i
+            right[H][col] = {col: m - 2 * i}
+            if i < m:
+                right[F][col] = {col + 1: 1}
+            if i > 0:
+                right[E][col] = {col - 1: -i * (m - i + 1)}
+            if q % 2 != coupled_rem:
+                continue
+            left[H][col] = column([((q - 1, i + 1), 2 * (m + 1 - i)),
                                    ((q, i), -(m - 2 * i)),
                                    ((q + 1, i - 1), -2 * i)])
-            setcol(left, F, q, i, [((q - 1, i + 2), 1), ((q, i + 1), -1),
+            left[F][col] = column([((q - 1, i + 2), 1), ((q, i + 1), -1),
                                    ((q + 1, i), 1)])
-            setcol(left, E, q, i, [((q - 1, i), (m + 1 - i) * (m + 2 - i)),
+            left[E][col] = column([((q - 1, i), (m + 1 - i) * (m + 2 - i)),
                                    ((q, i - 1), i * (m + 1 - i)),
                                    ((q + 1, i - 2), i * (i - 1))])
     for patch in patches:
-        builder = right if patch.side == "right" else left
+        action = (right if patch.side == "right" else left)[patch.gen]
         for q in range(2 + patch.parity, k + 1, 2):
             for i in range(dims[q]):
-                setcol(builder, patch.gen, q, i, patch.column(n, q // 2, q, i))
-    return BimoduleSpec(sl2(), labels, right.columns, left.columns)
+                action[offsets[q] + i] = column(patch.column(n, q // 2, q, i))
+    return BimoduleSpec(sl2(), labels, right, left)
 
 
 def _chain(family: str, n: int, k: int, verbatim: bool) -> BimoduleSpec:
     """The m3 or m4 chain, repaired and validated, or as printed."""
+    if k < 2:
+        raise ValueError("need at least two summands (k >= 2)")
     coupled_rem = 0 if family == "m3" else 1
     if verbatim:
         return _chain_bimodule(n, k, coupled_rem, tuple(
             e.patch for e in ERRATA if e.family == family and e.patch))
-    spec = _chain_bimodule(n, k, coupled_rem, ())
+    spec = _chain_bimodule(n, k, coupled_rem)
     _validate(spec, f"{family}:{n}:{k}")
     return spec
 
 
 def bimodule_m3(n: int, k: int, verbatim: bool = False) -> BimoduleSpec:
     """k-summand chain whose even-superscript summands carry the coupled
-    left action; bimodule_m3(n, 2) coincides with bimodule_m2(n).
+    left action; bimodule_m3(n, 2) coincides with bimodule_m2(n) on the
+    basis v_i^q instead of x_i, y_j, both being the two-summand chain with
+    this parity.
 
     The default applies the repairs and validates.  ``verbatim=True`` gives
     the printed table, not validated: the repaired one with the patches of
@@ -276,7 +226,9 @@ def bimodule_m3(n: int, k: int, verbatim: bool = False) -> BimoduleSpec:
 
 def bimodule_m4(n: int, k: int, verbatim: bool = False) -> BimoduleSpec:
     """k-summand chain whose odd-superscript summands carry the coupled
-    left action; bimodule_m4(n, 2) coincides with bimodule_m1(n).
+    left action; bimodule_m4(n, 2) coincides with bimodule_m1(n) on the
+    basis v_i^q instead of x_i, y_j, both being the two-summand chain with
+    this parity.
 
     ``verbatim=True`` works as in ``bimodule_m3``, with the three m4
     patches: right e on the even summands, and left h and right e on the
@@ -560,6 +512,11 @@ ERRATA: tuple[Erratum, ...] = (
 MAX_MODULE_DIM = 2048
 
 
+#: A catalog id parameter: an optional minus sign and ASCII digits.  ``int``
+#: alone would also take "+3", "3_0", " 3" and non-ASCII digits.
+_PARAMETER = re.compile(r"-?[0-9]+")
+
+
 def module_dim(name: str, *params: int) -> int:
     """Dimension of the catalog module ``name`` with ``params``, from the
     parameters alone: n+1 for n1/n2:<n>, 2n for m1/m2:<n>, and k(n+2-k),
@@ -588,10 +545,9 @@ def resolve(identifier: str, verbatim: bool = False):
     """
     parts = identifier.split(":")
     name, args = parts[0], parts[1:]
-    try:
-        params = [int(a) for a in args]
-    except ValueError:
-        raise ValueError(f"non-integer parameter in id {identifier!r}") from None
+    if not all(_PARAMETER.fullmatch(a) for a in args):
+        raise ValueError(f"non-integer parameter in id {identifier!r}")
+    params = [int(a) for a in args]
     plain = {"sl2": sl2, "s1": superalgebra_s1, "s2": superalgebra_s2}
     if name in plain:
         if params:

@@ -21,8 +21,8 @@ import sys
 from .algebra import (BimoduleSpec, Element, SuperAlgebra,
                       check_bimodule_axioms, check_leibniz,
                       check_leibniz_super, right_annihilator)
-from .catalog import (CATALOG_IDS, ERRATA, MAX_MODULE_DIM, assemble,
-                      module_dim, resolve)
+from .catalog import (_PARAMETER, CATALOG_IDS, ERRATA, MAX_MODULE_DIM,
+                      assemble, module_dim, resolve)
 from .classify import InvalidStructure, annihilator_prefilter, classify
 
 EXIT_OK = 0
@@ -172,10 +172,9 @@ def _parse_grid(family: str, grid: str) -> list[str]:
             if two_param:
                 raise _UsageError(
                     f"{family} needs explicit n:k pairs in --grid")
-            try:
-                lo_i, hi_i = int(lo), int(hi)
-            except ValueError:
-                raise _UsageError(f"bad grid range {part!r}") from None
+            if not (_PARAMETER.fullmatch(lo) and _PARAMETER.fullmatch(hi)):
+                raise _UsageError(f"bad grid range {part!r}")
+            lo_i, hi_i = int(lo), int(hi)
             # bound the range before expanding it: the module dimension
             # grows with n, and a negative n names no module
             if (lo_i < -MAX_MODULE_DIM

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import reference_catalog
 from sl2super.algebra import (
     check_bimodule_axioms,
     check_graded_antisymmetry,
@@ -177,11 +178,26 @@ def test_m3_and_m4_satisfy_axioms(n, k):
     assert check_bimodule_axioms(bimodule_m4(n, k)).ok
 
 
-@pytest.mark.parametrize("n", [4, 6, 8])
+@pytest.mark.parametrize("n", range(0, 41))
 def test_chain_degenerations_are_bit_exact(n):
-    # same action matrices; only the block labelling differs
-    for chain, two in ((bimodule_m3(n, 2), bimodule_m2(n)),
-                       (bimodule_m4(n, 2), bimodule_m1(n))):
+    # the chain builder at k = 1 (n1, n2) and k = 2 (m1, m2) against the
+    # hand-written builders it replaced, in labels and stored form
+    pairs = [(module_n1(n), reference_catalog.module_n1(n)),
+             (module_n2(n), reference_catalog.module_n2(n))]
+    if n >= 2:
+        pairs += [(bimodule_m1(n), reference_catalog.bimodule_m1(n)),
+                  (bimodule_m2(n), reference_catalog.bimodule_m2(n))]
+    for spec, ref in pairs:
+        assert spec.odd_labels == ref.odd_labels
+        assert spec.right == ref.right
+        assert spec.left == ref.left
+        assert spec._integer_form == ref._integer_form
+    if n < 2:
+        return
+    # the chain families at k = 2: same action matrices, only the block
+    # labelling differs
+    for chain, two in ((bimodule_m3(n, 2), reference_catalog.bimodule_m2(n)),
+                       (bimodule_m4(n, 2), reference_catalog.bimodule_m1(n))):
         assert chain.right == two.right
         assert chain.left == two.left
         assert chain.module_dim == two.module_dim
@@ -347,7 +363,11 @@ def test_resolve_all_id_shapes():
 
 
 @pytest.mark.parametrize("bad", [
-    "nope", "n1", "n1:x", "n1:1:2", "m3:6", "sl2:1", "n1:-1", "m1:0"])
+    "nope", "n1", "n1:x", "n1:1:2", "m3:6", "sl2:1", "n1:-1", "m1:0",
+    # a parameter is an optional minus sign and ASCII digits, nothing more
+    "n1:3_0", "n1:+3", "n1:\u0663", "n1: 3", "n1:3\n", "m3:\u0666:\u0662",
+    # the chain families need two summands
+    "m3:6:1", "m4:6:1"])
 def test_resolve_rejects_malformed_ids(bad):
     with pytest.raises(ValueError):
         resolve(bad)

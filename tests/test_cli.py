@@ -303,6 +303,27 @@ def test_classify_grid_rejects_mismatched_shapes(capsys):
 
 
 @pytest.mark.parametrize("args,message", [
+    (("table", "n1:3_0"), "non-integer parameter in id 'n1:3_0'"),
+    (("table", "n1:+3"), "non-integer parameter in id 'n1:+3'"),
+    (("classify", "n1", "--grid", "1_0..1_1"), "bad grid range '1_0..1_1'"),
+    (("classify", "n1", "--grid", "+1..2"), "bad grid range '+1..2'"),
+    (("classify", "n1", "--grid", "\u0661..2"),
+     "bad grid range '\u0661..2'"),
+    (("classify", "n1", "--grid", "3_0"),
+     "non-integer parameter in id 'n1:3_0'"),
+    (("classify", "m3", "--grid", "\u0666:\u0662"),
+     "non-integer parameter in id 'm3:\u0666:\u0662'"),
+], ids=["id-underscore", "id-plus", "range-underscore", "range-plus",
+        "range-arabic-indic", "single-underscore", "pair-arabic-indic"])
+def test_non_decimal_parameters_are_usage_errors(capsys, args, message):
+    # a parameter is an optional minus sign and ASCII digits; int() alone
+    # would read 3_0 as 30, +3 as 3 and the Arabic-Indic digits as 6 and 2
+    code, out, err = run(capsys, *args)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("args,message", [
     (("classify", "n1:999999999999"),
      "n1:999999999999 would have module dimension 1000000000000, over the "
      "limit of 2048"),
