@@ -34,12 +34,12 @@ only when those are read.
 All three read the actions from the spec's one stored form, its columns
 and even brackets times the lcm D of their denominators (1 on every catalog
 table) as ``int``s; a certified text-mode ``classify`` reads nothing else.
-The generator does not walk the basis triples: from each kept pair of odd
-positions it enumerates the triples that can give a new row, and composes
-only the kept unknowns of each pair they read with the known actions.  The
-system is the same, row for row, as the full expansion's, and the work
-follows the kept pairs rather than the dimension.  Rows are summed in
-integers and deduplicated by their primitive form.
+The generator does not walk the basis triples: each kept pair of odd
+positions scatters its kept unknowns, composed with the known actions, into
+the triples that read it, one rule per term of the residuals.  The system
+is the same, row for row, as the full expansion's, and the work follows the
+kept pairs rather than the dimension.  Rows are summed in integers and
+deduplicated by their primitive form.
 
 After the weight filter a pair usually keeps one unknown U, and an all-odd
 triple of the pair whose third member keeps no unknown with either (a far
@@ -56,6 +56,7 @@ and stops once the rank is full.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -219,7 +220,6 @@ def _check_preconditions(even: SuperAlgebra, mod: BimoduleSpec) -> None:
 
 
 def _kept_pairs(ne: int, mod: BimoduleSpec, symmetric: bool,
-                zero: frozenset[int],
                 keep_unknowns: frozenset[UnknownId] | None):
     """The unknowns ``generate_constraints`` keeps, kind-major; ``kinds``,
     the kind and position of every kept U_kind(i, j) by ordered pair (both
@@ -234,12 +234,11 @@ def _kept_pairs(ne: int, mod: BimoduleSpec, symmetric: bool,
     keeps more kinds has every w near and none far."""
     nm = mod.module_dim
     if keep_unknowns is None:
-        unknowns = _full_unknowns(ne, nm, symmetric, zero)
+        unknowns = _full_unknowns(ne, nm, symmetric)
     else:
         unknowns = tuple(sorted(
             (u for u in keep_unknowns
              if 0 <= u.kind < ne and 0 <= u.i < nm and 0 <= u.j < nm
-             and u.i not in zero and u.j not in zero
              and (u.i <= u.j or not symmetric)),
             key=lambda u: (u.kind, u.i, u.j)))
     kinds: dict[tuple[int, int], list[tuple[int, int]]] = {}
@@ -270,7 +269,6 @@ def _kept_pairs(ne: int, mod: BimoduleSpec, symmetric: bool,
 
 def generate_constraints(even: SuperAlgebra, mod: BimoduleSpec,
                          symmetric: bool = True,
-                         zero_odd_indices: frozenset[int] = frozenset(),
                          keep_unknowns: frozenset[UnknownId] | None = None
                          ) -> ConstraintSystem:
     """Expand the superidentity over the ordered basis triples with two or
@@ -279,31 +277,28 @@ def generate_constraints(even: SuperAlgebra, mod: BimoduleSpec,
     ``symmetric`` trusts that the product of two odd elements does not
     depend on their order and keys unknowns by unordered pairs; with
     ``symmetric=False`` the two orders are independent unknowns and the
-    solver itself must force their equality.  ``zero_odd_indices`` pre-zeroes
-    every product touching those odd basis positions (used with
-    ``annihilator_prefilter``).  ``keep_unknowns``, when given, keeps only
-    the unknowns it names and leaves every other one out of the system
-    (used with ``weight_compatible_unknowns``); unknowns it names that the
-    system does not have are ignored.
+    solver itself must force their equality.  ``keep_unknowns``, when given,
+    keeps only the unknowns it names and leaves every other one out of the
+    system (``classify`` keeps those of ``weight_compatible_unknowns`` off
+    the positions ``annihilator_prefilter`` flags); unknowns it names that
+    the system does not have are ignored.
 
     Rows come in lexicographic triple order, components ascending within a
-    triple, each restricted to the kept unknowns.  Each term of a triple
-    reads one ordered pair of odd positions, whose kept unknowns come from
-    the pair index of ``_kept_pairs``; only those are composed.
-
-    The triples are not walked; they are enumerated from the kept pairs.
-    For each kept ordered pair (i, j) the candidates are the mixed triples
-    that read it, directly or through an action (found from the preimage
-    indexes ``lpre`` and ``rpre`` of the actions), and the all-odd triples
-    (i,j,w), (w,i,j) and (i,w,j) for every near w.  A far w gives multiples
-    of the pair's one unit row, so only the first far w of each form with a
-    nonzero row is a candidate.  The candidates are composed in sorted
-    order, and an all-odd triple whose pairs keep one unknown p between them
-    is skipped once p's unit row is kept.  With ``symmetric`` the mirror
-    triples (a,v,u), (u,w,v) and (v,u,a), u < v (v < w), are skipped too:
-    their rows are, coefficient for coefficient, those of (a,u,v), (u,v,w)
-    and (u,v,a), which come first.  So rows, order and provenance are those
-    of the full expansion, at a cost that follows the kept pairs and their
+    triple, each restricted to the kept unknowns.  The triples are not
+    walked: each kept ordered pair (i, j) of odd positions scatters its
+    terms into the triples that read it, by one rule per term of the
+    residuals of (a,u,v), (u,a,v), (u,v,a) and (u,v,w), and the terms are
+    summed per triple and component.  A mixed triple reads the pair directly
+    or through an action (found from the preimages ``lpre`` and ``rpre``);
+    an all-odd triple (i,j,w), (w,i,j) or (i,w,j) reads it for every near w
+    (see ``_kept_pairs``), and of the far w, which give multiples of the
+    pair's one unit row, only the first of each form with a nonzero term
+    gets one.  An all-odd triple whose terms read one unknown p alone is
+    skipped once p's unit row is kept.  With ``symmetric`` no term goes to
+    the mirror triples (a,v,u), (u,w,v) and (v,u,a), u < v (v < w), whose
+    rows are, coefficient for coefficient, those of (a,u,v), (u,v,w) and
+    (u,v,a), which come first.  So rows, order and provenance are those of
+    the full expansion, at a cost that follows the kept pairs and their
     fan-out through the actions, not the dimension.
 
     Each term is one structure constant, so the rows are summed as integer
@@ -312,148 +307,102 @@ def generate_constraints(even: SuperAlgebra, mod: BimoduleSpec,
     """
     _check_preconditions(even, mod)
     ne, nm = even.dim, mod.module_dim
-    zero = frozenset(zero_odd_indices)
-    if any(not 0 <= z < nm for z in zero):
-        raise ValueError("zero_odd_indices out of module range")
-    unknowns, kinds, reach = _kept_pairs(ne, mod, symmetric, zero,
-                                         keep_unknowns)
+    unknowns, kinds, reach = _kept_pairs(ne, mod, symmetric, keep_unknowns)
 
     # rcol[a][m] (lcol[a][m]) = [x_m, e_a] ([e_a, x_m]) and ebr[x][y] =
     # [e_x, e_y] times den, as int vectors: every term of a row is one of
-    # these (the preconditions make ``even`` the spec's own)
+    # these (the preconditions make ``even`` the spec's own).  Indexed by
+    # the kind k of the unknown they act on: rbr[a][k] = [e_k, e_a],
+    # rodd[w][k] = [x_w, e_k] and lodd[w][k] = [e_k, x_w]; unit[k] puts a
+    # term in component k
     den, rcol, lcol, ebr = mod._integer_form
-    # lpre[a][m] (rpre[a][m]) = odd positions x such that [e_a, x] ([x, e_a])
-    # has an x_m component
-    lpre: list[list[set[int]]] = [[set() for _ in range(nm)]
-                                  for _ in range(ne)]
-    rpre: list[list[set[int]]] = [[set() for _ in range(nm)]
-                                  for _ in range(ne)]
+    rbr = [[ebr[k][a] for k in range(ne)] for a in range(ne)]
+    rodd = [[rcol[k][w] for k in range(ne)] for w in range(nm)]
+    lodd = [[lcol[k][w] for k in range(ne)] for w in range(nm)]
+    unit = [{k: 1} for k in range(ne)]
+    # lpre[a][m] (rpre[a][m]) maps each odd position x such that [e_a, x]
+    # ([x, e_a]) has an x_m component to that coefficient
+    lpre = [[{} for _ in range(nm)] for _ in range(ne)]
+    rpre = [[{} for _ in range(nm)] for _ in range(ne)]
     for a in range(ne):
         for x in range(nm):
-            for m in lcol[a][x]:
-                lpre[a][m].add(x)
-            for m in rcol[a][x]:
-                rpre[a][m].add(x)
+            for m, cf in lcol[a][x].items():
+                lpre[a][m][x] = cf
+            for m, cf in rcol[a][x].items():
+                rpre[a][m][x] = cf
 
-    # candidate triples (t0, t1, t2) of basis positions, the even basis
-    # first, coded as t0 * dim2 + t1 * dim + t2: the codes sort as the
-    # triples do, and are cheaper to collect than tuples
+    # terms[code] lists the (component, position, coefficient) terms of the
+    # triple (t0, t1, t2) of basis positions, the even basis first, coded
+    # t0 * dim2 + t1 * dim + t2 (codes sort as triples do), flat in one list
+    # of ints: they are summed only when the triple is emitted
     dim = ne + nm
     dim2 = dim * dim
-    candidates: set[int] = set()
-    add = candidates.add
-    for i, j in kinds:
+    terms: defaultdict[int, list[int]] = defaultdict(list)
+
+    def put(t0: int, t1: int, t2: int, ks: list[tuple[int, int]],
+            cols: list[dict[int, int]], sign: int) -> None:
+        """Add sign * cols[k] U_k to the triple (t0, t1, t2) for each kept
+        U_k of ``ks``, unless ``symmetric`` makes it a mirror triple."""
+        if symmetric and t1 >= ne and (t0 > t1 if t2 < ne else t1 > t2):
+            return
+        out = terms[t0 * dim2 + t1 * dim + t2]
+        for k, p in ks:
+            for comp, cf in cols[k].items():
+                out += comp, p, sign * cf
+
+    for (i, j), ks in kinds.items():
         oi, oj = ne + i, ne + j
         for a in range(ne):
-            # (a,u,v) reads (u,v), ([a,u],v), ([a,v],u); (u,a,v) reads
-            # (u,[a,v]), ([u,a],v), (u,v); (u,v,a) reads (u,[v,a]), (u,v),
-            # ([u,a],v)
-            add(a * dim2 + oi * dim + oj)
-            add(oi * dim2 + a * dim + oj)
-            add(oi * dim2 + oj * dim + a)
-            for x in lpre[a][i]:
-                add(a * dim2 + (ne + x) * dim + oj)
-                add(a * dim2 + oj * dim + ne + x)
-            for x in lpre[a][j]:
-                add(oi * dim2 + a * dim + ne + x)
-            for x in rpre[a][i]:
-                add((ne + x) * dim2 + a * dim + oj)
-                add((ne + x) * dim2 + oj * dim + a)
-            for x in rpre[a][j]:
-                add(oi * dim2 + (ne + x) * dim + a)
-        # (i,j,w) and (i,w,j) read (i,j) through [[i,j],w], (w,i,j) through
-        # [w,[i,j]]; every far w gives a multiple of the one unknown's unit
-        # row, so of those only the first of each form with a nonzero row
+            # (a,u,v): [a,U(u,v)] - U([a,u],v) - U([a,v],u)
+            put(a, oi, oj, ks, ebr[a], 1)
+            for x, cf in lpre[a][i].items():
+                put(a, ne + x, oj, ks, unit, -cf)
+                put(a, oj, ne + x, ks, unit, -cf)
+            # (u,a,v): U(u,[a,v]) - U([u,a],v) + [U(u,v),a]
+            for x, cf in lpre[a][j].items():
+                put(oi, a, ne + x, ks, unit, cf)
+            for x, cf in rpre[a][i].items():
+                put(ne + x, a, oj, ks, unit, -cf)
+            put(oi, a, oj, ks, rbr[a], 1)
+            # (u,v,a): U(u,[v,a]) - [U(u,v),a] + U([u,a],v)
+            for x, cf in rpre[a][j].items():
+                put(oi, ne + x, a, ks, unit, cf)
+            put(oi, oj, a, ks, rbr[a], -1)
+            for x, cf in rpre[a][i].items():
+                put(ne + x, oj, a, ks, unit, cf)
+        # (u,v,w): [u,[v,w]] - [[u,v],w] - [[u,w],v], read by (w,i,j) and by
+        # (i,j,w) and (i,w,j) for every near w; of the far w, whose terms
+        # are multiples of the one unknown's, only the first of each form
+        # with a nonzero term
         near, lfar, rfar = reach(i, j)
-        for w in near:
-            ow = ne + w
-            add(oi * dim2 + oj * dim + ow)
-            add(ow * dim2 + oi * dim + oj)
-            add(oi * dim2 + ow * dim + oj)
-        if lfar is not None:
-            add(oi * dim2 + oj * dim + ne + lfar)
-            add(oi * dim2 + (ne + lfar) * dim + oj)
-        if rfar is not None:
-            add((ne + rfar) * dim2 + oi * dim + oj)
+        for w in near if rfar is None else [*near, rfar]:
+            put(ne + w, oi, oj, ks, rodd[w], 1)
+        for w in near if lfar is None else [*near, lfar]:
+            put(oi, oj, ne + w, ks, lodd[w], -1)
+            put(oi, ne + w, oj, ks, lodd[w], -1)
 
     labels = [even.label(i) for i in range(ne)] + list(mod.odd_labels)
-    even_labels = labels[:ne]
-    odd_labels = labels[ne:]
     collector = _RowCollector(den)
-    seen = collector.seen
-
-    def emit(triple: tuple[str, str, str], comp_labels: list[str],
-             terms: list[tuple[int, int, int]]) -> None:
-        """Sum the (component, position, coefficient) terms of one triple
-        and emit one row per component, components ascending."""
-        acc: dict[int, dict[int, int]] = {}
-        for comp, p, cf in terms:
-            row = acc.get(comp)
-            if row is None:
-                acc[comp] = {p: cf}
-            elif p in row:
-                row[p] += cf
-            else:
-                row[p] = cf
-        for comp in sorted(acc):
-            collector.add(acc[comp], triple, comp_labels[comp])
-
-    for code in sorted(candidates):
-        t0, rest = divmod(code, dim2)
-        t1, t2 = divmod(rest, dim)
-        # with ``symmetric`` the mirror triples (a,v,u), (u,w,v) and (v,u,a)
-        # of u < v (v < w) repeat the rows of (a,u,v), (u,v,w) and (u,v,a)
-        if symmetric and t1 >= ne and (t0 > t1 if t2 < ne else t1 > t2):
+    for code in sorted(terms):
+        t0, t1, t2 = code // dim2, code // dim % dim, code % dim
+        flat = terms[code]
+        # an all-odd triple (its components are odd positions) that reads
+        # one unknown only gives nothing but its unit row: skip it once kept
+        shift = ne if min(t0, t1, t2) >= ne else 0
+        ps = set(flat[1::3]) if shift else ()
+        if len(ps) == 1 and ((ps.pop(), 1),) in collector.seen:
             continue
+        rows: dict[int, dict[int, int]] = {}
+        it = iter(flat)
+        for comp, p, cf in zip(it, it, it):
+            row = rows.get(comp)
+            if row is None:
+                rows[comp] = {p: cf}
+            else:
+                row[p] = row.get(p, 0) + cf
         triple = (labels[t0], labels[t1], labels[t2])
-        if t0 >= ne and t1 >= ne and t2 >= ne:
-            u, v, w = t0 - ne, t1 - ne, t2 - ne
-            kvw = kinds.get((v, w), ())
-            kuv = kinds.get((u, v), ())
-            kuw = kinds.get((u, w), ())
-            # a triple that reads one unknown only can give nothing but
-            # that unknown's unit row: skip it once that is kept
-            ps = {p for ks in (kvw, kuv, kuw) for _, p in ks}
-            if len(ps) == 1 and ((ps.pop(), 1),) in seen:
-                continue
-            # residual = [u,[v,w]] - [[u,v],w] - [[u,w],v], odd vector
-            terms = [(r, p, cf) for k, p in kvw
-                     for r, cf in rcol[k][u].items()]
-            terms += [(r, p, -cf) for k, p in kuv
-                      for r, cf in lcol[k][w].items()]
-            terms += [(r, p, -cf) for k, p in kuw
-                      for r, cf in lcol[k][v].items()]
-            emit(triple, odd_labels, terms)
-        elif t0 < ne:
-            a, u, v = t0, t1 - ne, t2 - ne
-            # residual = [a,U(u,v)] - U([a,u],v) - U([a,v],u)
-            terms = [(t, p, cf) for k, p in kinds.get((u, v), ())
-                     for t, cf in ebr[a][k].items()]
-            terms += [(t, p, -cm) for m, cm in lcol[a][u].items()
-                      for t, p in kinds.get((m, v), ())]
-            terms += [(t, p, -cm) for m, cm in lcol[a][v].items()
-                      for t, p in kinds.get((m, u), ())]
-            emit(triple, even_labels, terms)
-        elif t1 < ne:
-            u, a, v = t0 - ne, t1, t2 - ne
-            # residual = U(u,[a,v]) - U([u,a],v) + [U(u,v),a]
-            terms = [(t, p, cm) for m, cm in lcol[a][v].items()
-                     for t, p in kinds.get((u, m), ())]
-            terms += [(t, p, -cm) for m, cm in rcol[a][u].items()
-                      for t, p in kinds.get((m, v), ())]
-            terms += [(t, p, cf) for k, p in kinds.get((u, v), ())
-                      for t, cf in ebr[k][a].items()]
-            emit(triple, even_labels, terms)
-        else:
-            u, v, a = t0 - ne, t1 - ne, t2
-            # residual = U(u,[v,a]) - [U(u,v),a] + U([u,a],v)
-            terms = [(t, p, cm) for m, cm in rcol[a][v].items()
-                     for t, p in kinds.get((u, m), ())]
-            terms += [(t, p, -cf) for k, p in kinds.get((u, v), ())
-                      for t, cf in ebr[k][a].items()]
-            terms += [(t, p, cm) for m, cm in rcol[a][u].items()
-                      for t, p in kinds.get((m, v), ())]
-            emit(triple, even_labels, terms)
+        for comp in sorted(rows):
+            collector.add(rows[comp], triple, labels[shift + comp])
 
     return ConstraintSystem(unknowns, tuple(collector.rows))
 
@@ -527,17 +476,15 @@ def weight_compatible_unknowns(even: SuperAlgebra, mod: BimoduleSpec
     is those matching every diagonal vector: its cost follows the unknowns
     kept, not the ones left out.
     """
-    kept = _weight_compatible(even, mod)
-    if kept is None:
-        return frozenset(_full_unknowns(even.dim, mod.module_dim))
-    return frozenset(UnknownId(k, i, j) for k, i, j in kept)
+    return frozenset(UnknownId(k, i, j)
+                     for k, i, j in _weight_compatible(even, mod))
 
 
 def _weight_compatible(even: SuperAlgebra, mod: BimoduleSpec,
-                       symmetric: bool = True
-                       ) -> set[tuple[int, int, int]] | None:
+                       symmetric: bool = True) -> set[tuple[int, int, int]]:
     """The (kind, i, j) of ``weight_compatible_unknowns``, over ordered pairs
-    unless ``symmetric``, or None when no even basis vector acts diagonally."""
+    unless ``symmetric``: every one when no even basis vector acts
+    diagonally."""
     ne, nm = even.dim, mod.module_dim
     den, rcol, _, _ = mod._integer_form
     kept: set[tuple[int, int, int]] | None = None
@@ -558,6 +505,9 @@ def _weight_compatible(even: SuperAlgebra, mod: BimoduleSpec,
                     for j in bucket.get(u - lam[i], ())
                     if j >= i or not symmetric}
         kept = matching if kept is None else kept & matching
+    if kept is None:
+        return {(k, i, j) for k in range(ne) for i in range(nm)
+                for j in range(nm) if j >= i or not symmetric}
     return kept
 
 
@@ -595,14 +545,12 @@ def _embed_solution(sol: SolutionSpace, unknowns: tuple[UnknownId, ...]
                          tuple(pivots))
 
 
-def _full_unknowns(ne: int, nm: int, symmetric: bool = True,
-                   zero: frozenset[int] = frozenset()
+def _full_unknowns(ne: int, nm: int, symmetric: bool = True
                    ) -> tuple[UnknownId, ...]:
-    """Kind-major unknowns over the odd pairs avoiding ``zero``: unordered
-    pairs when ``symmetric``, ordered pairs otherwise."""
-    kept = [m for m in range(nm) if m not in zero]
-    return tuple(UnknownId(k, i, j) for k in range(ne) for i in kept
-                 for j in kept if j >= i or not symmetric)
+    """Kind-major unknowns over the odd pairs: unordered pairs when
+    ``symmetric``, ordered pairs otherwise."""
+    return tuple(UnknownId(k, i, j) for k in range(ne) for i in range(nm)
+                 for j in range(nm) if j >= i or not symmetric)
 
 
 def _products_from_vector(unknowns: tuple[UnknownId, ...],
@@ -685,8 +633,11 @@ class Classification:
 
     @cached_property
     def solution(self) -> SolutionSpace:
-        return _embed_solution(self.reduced, _full_unknowns(
-            self.even_dim, self.module_dim, not self.strict, self.filtered))
+        flagged = self.filtered
+        return _embed_solution(self.reduced, tuple(
+            u for u in _full_unknowns(self.even_dim, self.module_dim,
+                                      not self.strict)
+            if u.i not in flagged and u.j not in flagged))
 
     @property
     def dimension(self) -> int:
@@ -769,16 +720,14 @@ def classify(even: SuperAlgebra, mod: BimoduleSpec,
     """
     _check_preconditions(even, mod)
     filtered = frozenset() if strict else annihilator_prefilter(even, mod)
-    weights = _weight_compatible(even, mod, not strict)
     # name only the kept unknowns off the flagged positions
-    kept = None if weights is None else frozenset(
-        UnknownId(k, i, j) for k, i, j in weights
-        if i not in filtered and j not in filtered)
-    unknowns, _, reach = _kept_pairs(even.dim, mod, not strict, filtered,
-                                     kept)
+    kept = frozenset(UnknownId(k, i, j)
+                     for k, i, j in _weight_compatible(even, mod, not strict)
+                     if i not in filtered and j not in filtered)
+    unknowns, _, reach = _kept_pairs(even.dim, mod, not strict, kept)
 
     generate = partial(generate_constraints, even, mod, symmetric=not strict,
-                       zero_odd_indices=filtered, keep_unknowns=kept)
+                       keep_unknowns=kept)
     if all(reach(u.i, u.j)[1:] != (None, None) for u in unknowns):
         # a far triple gives each unknown its unit row: the system has full
         # rank, and it is generated only if it is read

@@ -7,7 +7,9 @@ identity checks), ``annihilator`` (products forced to zero), ``classify``
 Algebra ids are catalog strings (``sl2``, ``s1``, ``s2``, ``n1:<n>``,
 ``n2:<n>``, ``m1:<n>``, ``m2:<n>``, ``m3:<n>:<k>``, ``m4:<n>:<k>``) or paths
 to JSON files in the shared schema.  Exit codes: 0 all checks pass, 1 a
-mathematical violation was found, 2 usage or input error.  Set
+mathematical violation was found, 2 usage or input error, 141 (128 plus
+SIGPIPE, as a shell reports for a writer that signal ends) the reader closed
+the output early, with nothing printed on stderr.  Set
 ``SUPERALG_COLOR=0`` to disable ANSI color (color is only used on a tty).
 """
 
@@ -315,7 +317,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed reader fails here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader stopped early (``| head``): stdout goes to devnull so
+        # that the interpreter's final flush does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

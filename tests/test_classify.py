@@ -55,6 +55,16 @@ def named(space, vec):
     return space.nonzero_named(vec)
 
 
+def off(flagged, mod, symmetric=True):
+    """The ``keep_unknowns`` of the system with the products at the
+    ``flagged`` odd positions zero: every unknown of ``mod``, over unordered
+    pairs unless not ``symmetric``, whose pair avoids those positions."""
+    nm = mod.module_dim
+    return frozenset(UnknownId(k, i, j) for k in range(mod.even.dim)
+                     for i in range(nm) for j in range(nm)
+                     if (i <= j or not symmetric) and not {i, j} & flagged)
+
+
 # ---------------------------------------------------------------------------
 # unknown bookkeeping
 # ---------------------------------------------------------------------------
@@ -99,13 +109,10 @@ def test_duplicate_rows_keep_first_provenance():
         seen.add(key)
 
 
-def test_zero_odd_indices_shrink_the_unknowns():
-    cs = generate_constraints(sl2(), module_n1(1),
-                              zero_odd_indices=frozenset({1}))
+def test_unknowns_off_a_position_shrink_the_system():
+    mod = module_n1(1)
+    cs = generate_constraints(sl2(), mod, keep_unknowns=off({1}, mod))
     assert cs.unknown_names() == ("a_0_0", "b_0_0", "c_0_0")
-    with pytest.raises(ValueError):
-        generate_constraints(sl2(), module_n1(1),
-                             zero_odd_indices=frozenset({7}))
 
 
 def test_generate_rejects_broken_module():
@@ -329,7 +336,7 @@ def test_generated_rows_are_the_distinct_residual_rows(identifier):
     for cs in (generate_constraints(sl2(), mod),
                generate_constraints(
                    sl2(), mod,
-                   zero_odd_indices=annihilator_prefilter(sl2(), mod)),
+                   keep_unknowns=off(annihilator_prefilter(sl2(), mod), mod)),
                generate_constraints(
                    sl2(), mod,
                    keep_unknowns=weight_compatible_unknowns(sl2(), mod))):
@@ -716,8 +723,9 @@ def test_weight_filtered_classification_equals_the_full_system(identifier,
     # ordered system
     mod = grid_module(identifier)
     cl = classify(sl2(), mod, strict=strict)
-    full = generate_constraints(sl2(), mod, symmetric=not strict,
-                                zero_odd_indices=cl.filtered)
+    full = generate_constraints(
+        sl2(), mod, symmetric=not strict,
+        keep_unknowns=off(cl.filtered, mod, not strict))
     assert cl.solution == solve(full)
     assert not (strict and cl.filtered)
     # the reduced system is the full one with the zeroed unknowns left out,
@@ -839,8 +847,8 @@ def test_weight_prefilter_edge_modules():
     full = symmetric_unknowns(sl2(), mod)
     assert full - weight_compatible_unknowns(sl2(), mod) == frozenset()
     cl = classify(sl2(), mod)
-    assert cl.system == generate_constraints(sl2(), mod,
-                                             zero_odd_indices=cl.filtered)
+    assert cl.system == generate_constraints(
+        sl2(), mod, keep_unknowns=off(cl.filtered, mod))
     assert generate_constraints(sl2(), mod, keep_unknowns=full) == (
         generate_constraints(sl2(), mod))
 
@@ -1186,16 +1194,24 @@ def test_a_pair_keeping_two_kinds_gives_the_restricted_rows():
             "v_2^1") in rows
 
 
-# calls of _RowCollector.add per generation in classify's mode (both
-# prefilters), about 5% over the 676, 873 and 615 made; a generator that
-# re-derives every repeat of a unit row makes 5286, 10045 and 5208, and one
-# that also composes the mirror triples (a,v,u), (u,w,v) and (v,u,a) of
-# symmetric unknowns makes 1091, 1485 and 1070
-ADD_CALL_CEILINGS = {"n1:24": 710, "m1:24": 917, "m3:16:3": 646}
+# calls of _RowCollector.add per generation of classify's system, about 5%
+# over the 676, 873 and 615 made (both prefilters) and the 1195, 6011 and
+# 9688 made in strict mode (the weight filter over ordered pairs); a
+# generator that re-derives every repeat of a unit row makes 5286, 10045
+# and 5208, one that also composes the mirror triples (a,v,u), (u,w,v) and
+# (v,u,a) of symmetric unknowns makes 1091, 1485 and 1070, and one that
+# skips an all-odd triple only when its pairs keep a single unknown, not
+# when its terms read one, makes 8935 and 17198 on the strict m1:24 and
+# m3:16:3
+ADD_CALL_CEILINGS = {"n1:24": 710, "m1:24": 917, "m3:16:3": 646,
+                     "n1:24-strict": 1255, "m1:24-strict": 6312,
+                     "m3:16:3-strict": 10173}
 
 
-@pytest.mark.parametrize("identifier", sorted(ADD_CALL_CEILINGS))
-def test_generation_work_follows_the_kept_rows(monkeypatch, identifier):
+@pytest.mark.parametrize("identifier,strict",
+                         and_strict(["m1:24", "m3:16:3", "n1:24"]))
+def test_generation_work_follows_the_kept_rows(monkeypatch, identifier,
+                                               strict):
     module = importlib.import_module("sl2super.classify")
     calls = []
     add = module._RowCollector.add
@@ -1205,11 +1221,9 @@ def test_generation_work_follows_the_kept_rows(monkeypatch, identifier):
         return add(self, *args)
 
     monkeypatch.setattr(module._RowCollector, "add", counted)
-    mod = resolve(identifier)
-    cs = generate_constraints(
-        sl2(), mod, zero_odd_indices=annihilator_prefilter(sl2(), mod),
-        keep_unknowns=weight_compatible_unknowns(sl2(), mod))
-    assert len(cs.rows) <= len(calls) <= ADD_CALL_CEILINGS[identifier]
+    cs = classify(sl2(), resolve(identifier), strict=strict).system
+    assert len(cs.rows) <= len(calls) <= (
+        ADD_CALL_CEILINGS[identifier + "-strict" * strict])
 
 
 def test_classify_builds_full_coordinates_only_when_read(monkeypatch):
@@ -1314,8 +1328,9 @@ def test_the_unit_row_certificate_is_sound(identifier, strict, rng):
                               wraps=generate_constraints) as generate:
         cl = classify(sl2(), mod, strict=strict)
         certified = not generate.called
-    full = generate_constraints(sl2(), mod, symmetric=not strict,
-                                zero_odd_indices=cl.filtered)
+    full = generate_constraints(
+        sl2(), mod, symmetric=not strict,
+        keep_unknowns=off(cl.filtered, mod, not strict))
     unknowns = tuple(u for u in full.unknowns
                      if (u.kind, u.i, u.j) in kept)
     sol = solve(ConstraintSystem(unknowns, tuple(
@@ -1330,9 +1345,9 @@ def test_solve_stops_at_full_rank(monkeypatch):
     # the unit rows come first, and once each unknown has its own the rank
     # is full and the longer rows are not eliminated
     mod = resolve("m1:24")
-    cs = generate_constraints(
-        sl2(), mod, zero_odd_indices=annihilator_prefilter(sl2(), mod),
-        keep_unknowns=weight_compatible_unknowns(sl2(), mod))
+    cs = generate_constraints(sl2(), mod, keep_unknowns=(
+        off(annihilator_prefilter(sl2(), mod), mod)
+        & weight_compatible_unknowns(sl2(), mod)))
     calls = []
     add = RowSpace.add
 

@@ -3,6 +3,7 @@
 import importlib
 import io
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -510,3 +511,20 @@ def test_usage_error_exit_code_subprocess():
         [sys.executable, "-m", "sl2super", "table", "bogus:9"],
         capture_output=True, text=True)
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "n1:1"], ["classify", "m1:96", "--json"],
+    ["verify", "m3:6:3", "--verbatim-tables"]],
+    ids=["table", "classify-json", "verify-violation"])
+def test_a_reader_that_closes_early_gets_exit_141_and_no_traceback(argv):
+    # the read end of the pipe is closed before the command writes: exit
+    # 128 + SIGPIPE with nothing on stderr, not the 1 of a violation
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "sl2super", *argv],
+                              stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, b"")
