@@ -585,13 +585,14 @@ class BimoduleSpec:
     The one stored form of the actions is ``_integer_form`` (see
     ``_integer_actions``): the lcm D of every denominator and the columns
     times D as ``int`` dicts, read from the input once.  The axiom check,
-    both prefilters and the generator read it; ``right`` and ``left`` are
-    built from it when first read, then kept.  Two specs are equal when
-    their even algebras, labels and forms are, which is when their
-    ``right`` and ``left`` are.  A spec is immutable (frozen fields, module
-    labels copied into a tuple, read-only action columns, an even algebra
-    whose table is private), so its axiom report too is computed once, and
-    the Leibniz report of its even part, which ``classify`` reads too.
+    ``split_extension_table``, both prefilters and the generator read it;
+    ``right`` and ``left`` are built from it when first read, then kept.
+    Two specs are equal when their even algebras, labels and forms are,
+    which is when their ``right`` and ``left`` are.  A spec is immutable
+    (frozen fields, module labels copied into a tuple, read-only action
+    columns, an even algebra whose table is private), so its axiom report
+    too is computed once, and the Leibniz report of its even part, which
+    ``classify`` reads too.
     """
 
     even: SuperAlgebra
@@ -643,15 +644,12 @@ class BimoduleSpec:
         """Structure constants of L ⋉ M with [M, M] = 0, on the basis of L
         (indices 0 .. n-1) followed by the module vectors (n .. n+d-1): the
         products of L, then per even x and module m the products [x, m] and
-        [m, x] read from ``left`` and ``right``.  A fresh table on each
-        call."""
-        return _split_extension(_even_brackets(self.even), self.right,
-                                self.left)
-
-
-def _even_brackets(A: SuperAlgebra) -> list[list[Mapping[int, Fraction]]]:
-    return [[A.bracket_indices(x, y) for y in range(A.dim)]
-            for x in range(A.dim)]
+        [m, x].  The table the axiom check sums in ints, laid out from
+        ``_integer_form`` by the same helper, divided by D; it reads
+        neither ``right`` nor ``left``.  A fresh table on each call."""
+        D, right, left, even = self._integer_form
+        return {key: {k: Fraction(v, D) for k, v in vec.items()}
+                for key, vec in _split_extension(even, right, left).items()}
 
 
 def _integer_actions(even: SuperAlgebra, right: Sequence, left: Sequence,
@@ -696,7 +694,8 @@ def _integer_actions(even: SuperAlgebra, right: Sequence, left: Sequence,
                 columns.append(column)
             actions.append(tuple(columns))
         sides.append(tuple(actions))
-    ebr = _even_brackets(even)
+    ebr = [[even.bracket_indices(x, y) for y in range(even.dim)]
+           for x in range(even.dim)]
     D = lcm(den, *(c.denominator for row in ebr for vec in row
                    for c in vec.values()))
     if D > 1:
@@ -721,7 +720,8 @@ def _fraction_columns(D: int, side: Sequence) -> tuple[Columns, ...]:
 
 
 def _split_extension(even: Sequence, right: Sequence, left: Sequence) -> dict:
-    """``split_extension_table`` from ``even[x][y]`` and action columns."""
+    """The layout of ``split_extension_table`` from ``even[x][y]`` and
+    action columns, at the scale they are given in."""
     ne = len(even)
     table = {(x, y): dict(vec) for x, row in enumerate(even)
              for y, vec in enumerate(row) if vec}

@@ -519,30 +519,22 @@ def _diagonal(columns: Sequence[Mapping]) -> list | None:
     return [col.get(m, 0) for m, col in enumerate(columns)]
 
 
-def _embed_solution(sol: SolutionSpace, unknowns: tuple[UnknownId, ...]
-                    ) -> SolutionSpace:
-    """The solution of a system that left out some of ``unknowns``, written
-    in the coordinates of the system over all of them.
-
-    Valid when the unit row of every left-out unknown lies in the row space
-    of the larger system, as for the unknowns that
-    ``weight_compatible_unknowns`` leaves out.  Then its reduced
-    echelon form is those unit rows plus the solved one: left-out unknowns
-    are pivots with coordinate 0 in every kernel vector, and the rank grows
-    by their number.
-    """
+def _embedded(sol: SolutionSpace, unknowns: tuple[UnknownId, ...]
+              ) -> tuple[tuple[tuple[Fraction, ...], ...], list[int | None]]:
+    """The kernel vectors of ``sol`` written over ``unknowns``, coordinate 0
+    where ``sol`` has no unknown, and the position there of each unknown of
+    ``sol``: None, and its value dropped, for one not among ``unknowns``
+    (over unordered pairs, the second order of a strict pair)."""
     index = {u: p for p, u in enumerate(unknowns)}
-    kept = [index[u] for u in sol.unknowns]
+    positions = [index.get(u) for u in sol.unknowns]
     vectors = []
     for vec in sol.vectors:
         out = [Fraction(0)] * len(unknowns)
-        for p, val in zip(kept, vec):
-            out[p] = val
+        for p, val in zip(positions, vec):
+            if p is not None:
+                out[p] = val
         vectors.append(tuple(out))
-    left_out = set(range(len(unknowns))).difference(kept)
-    pivots = sorted(left_out.union(kept[p] for p in sol.pivots))
-    return SolutionSpace(unknowns, tuple(vectors), sol.rank + len(left_out),
-                         tuple(pivots))
+    return tuple(vectors), positions
 
 
 def _full_unknowns(ne: int, nm: int, symmetric: bool = True
@@ -573,12 +565,17 @@ class Classification:
     ``reduced`` is the canonical solution of ``system``, the system over
     the kept unknowns, which ``generate`` builds once, when first read.  The
     full coordinates, whose size grows with the square of the module
-    dimension, are built when read too: ``unknowns`` (every symmetric
-    unknown), ``vectors`` (the kernel basis over them) and ``solution`` (the
-    solution of the system with only the ``filtered`` positions left out).
-    ``rank``, the rank of ``solution``, is counted without building it.
-    ``solved`` holds the table of each solution vector; ``representatives``
-    and ``names`` assemble the zero table L ⋉ M of ``mod`` when read."""
+    dimension, are built when read too, each by writing the vectors of
+    ``reduced`` over its unknowns (``_embedded``): ``vectors`` over
+    ``unknowns`` (every symmetric unknown), and ``solution``, the solution
+    of the system with only the ``filtered`` positions left out.  The unit
+    row of each unknown the weights leave out of ``system`` lies in that
+    system's row space, so it is a pivot there: the pivots of ``solution``
+    are every position but the free columns of ``reduced``, and ``rank``,
+    the rank of ``solution``, is its unknowns less ``dimension``, counted
+    without building it.  ``solved`` holds the table of each solution
+    vector; ``representatives`` and ``names`` assemble the zero table
+    L ⋉ M of ``mod`` when read."""
 
     generate: Callable[[], ConstraintSystem] = field(repr=False,
                                                      compare=False)
@@ -620,24 +617,18 @@ class Classification:
 
     @cached_property
     def vectors(self) -> tuple[tuple[Fraction, ...], ...]:
-        fpos = {u: p for p, u in enumerate(self.unknowns)}
-        vectors = []
-        for vec in self.reduced.vectors:
-            out = [Fraction(0)] * len(fpos)
-            for u, val in zip(self.reduced.unknowns, vec):
-                # over ordered unknowns (strict) i > j repeats i < j
-                if val != 0 and u.i <= u.j:
-                    out[fpos[u]] = val
-            vectors.append(tuple(out))
-        return tuple(vectors)
+        return _embedded(self.reduced, self.unknowns)[0]
 
     @cached_property
     def solution(self) -> SolutionSpace:
         flagged = self.filtered
-        return _embed_solution(self.reduced, tuple(
-            u for u in _full_unknowns(self.even_dim, self.module_dim,
-                                      not self.strict)
-            if u.i not in flagged and u.j not in flagged))
+        unknowns = tuple(u for u in _full_unknowns(
+            self.even_dim, self.module_dim, not self.strict)
+            if u.i not in flagged and u.j not in flagged)
+        vectors, positions = _embedded(self.reduced, unknowns)
+        free = {positions[p] for p in self.reduced.free_columns()}
+        pivots = tuple(p for p in range(len(unknowns)) if p not in free)
+        return SolutionSpace(unknowns, vectors, len(pivots), pivots)
 
     @property
     def dimension(self) -> int:
@@ -657,12 +648,10 @@ class Classification:
     @property
     def rank(self) -> int:
         """``solution.rank``, counted without building ``solution``: the
-        rank of ``reduced`` plus one pivot per unknown left out of
-        ``system`` other than at the ``filtered`` positions."""
+        unknowns off the ``filtered`` positions less ``dimension``."""
         k = self.module_dim - len(self.filtered)
         pairs = k * k if self.strict else k * (k + 1) // 2
-        return (self.reduced.rank + self.even_dim * pairs
-                - len(self.reduced.unknowns))
+        return self.even_dim * pairs - self.dimension
 
     def to_json_dict(self) -> dict:
         return {

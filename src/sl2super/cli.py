@@ -196,7 +196,8 @@ def _parse_grid(family: str, grid: str) -> list[str]:
             ids.append(f"{family}:{part}")
     if not ids:
         raise _UsageError("empty --grid specification")
-    return ids
+    # one line and one JSON key per id, in the order first named
+    return list(dict.fromkeys(ids))
 
 
 def _classify_one(identifier: str, args):

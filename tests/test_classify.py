@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 from reference_rowspace import RowSpace as ReferenceRowSpace
 from sl2super.algebra import (BasisVector, BimoduleSpec, Parity, SuperAlgebra,
-                              _leibniz_residuals, check_bimodule_axioms,
-                              check_leibniz, check_leibniz_super)
+                              _leibniz_residuals, _split_extension,
+                              check_bimodule_axioms, check_leibniz,
+                              check_leibniz_super)
 from sl2super.catalog import (
     OddBracketTable,
     assemble,
@@ -689,7 +690,7 @@ DIFFERENTIAL_GRID = (
     [f"n1:{n}" for n in range(0, 11)] + [f"n2:{n}" for n in range(0, 7)]
     + [f"{fam}:{n}" for fam in ("m1", "m2") for n in range(2, 7)]
     + [f"{fam}:{nk}" for fam in ("m3", "m4") for nk in ("4:2", "6:3", "8:3")]
-    + ["zero:1", "zero:2", "zero:3", "conjugated-n1:2"])
+    + ["zero:0", "zero:1", "zero:2", "zero:3", "conjugated-n1:2"])
 
 # larger ids, where nearly every all-odd triple reads a single kept unknown
 # whose unit row is already in the system, so the generator skips it
@@ -1080,6 +1081,22 @@ def fraction_route_violations(mod):
                                mod.even.label(y)),
              [(labels[k - ne], residual[k]) for k in sorted(residual)])
             for (m, x, y, n), residual in found]
+
+
+@pytest.mark.parametrize("identifier", PREFILTER_GRID)
+def test_the_split_extension_table_is_the_one_the_views_lay_out(identifier):
+    # laid out from the integer form and divided by D, it equals the layout
+    # of the public Fraction views, and every coefficient is a Fraction
+    mod = grid_module(identifier)
+    even = mod.even
+    table = mod.split_extension_table()
+    assert table == _split_extension(
+        [[even.bracket_indices(x, y) for y in range(even.dim)]
+         for x in range(even.dim)], mod.right, mod.left)
+    assert all(type(c) is Fraction for vec in table.values()
+               for c in vec.values())
+    # a fresh table on each call
+    assert mod.split_extension_table() is not table
 
 
 VIOLATION_TOTALS = {"printed-m3:6:3": 74, "printed-m4:6:2": 34,

@@ -258,8 +258,9 @@ def test_the_zero_table_is_assembled_when_it_is_printed(monkeypatch, capsys):
     code, out, _ = run(capsys, "classify", "n1:1")
     assert code == 0
     assert out.splitlines()[0] == "dimension 1; representatives: S1, S2"
-    # the solved table in classify, then the zero table for the names
-    assert counts["assemble"] == 2 and counts["_fraction_columns"] == 2
+    # the solved table in classify, then the zero table for the names, both
+    # laid out from the integer form without a Fraction view
+    assert counts["assemble"] == 2 and counts["_fraction_columns"] == 0
     code, out, _ = run(capsys, "classify", "n1:1", "--json")
     assert code == 0
     assert json.loads(out)["representatives"] == [
@@ -292,6 +293,21 @@ def test_classify_grid_pairs(capsys):
         "m3:4:2: dimension 0; [L1,L1]=0",
         "m3:6:3: dimension 0; [L1,L1]=0",
     ]
+
+
+@pytest.mark.parametrize("family,grid,ids", [
+    ("n1", "2..3,3", ["n1:2", "n1:3"]),
+    ("n1", "3,2..3,2", ["n1:3", "n1:2"]),
+    ("m3", "6:3,4:2,6:3", ["m3:6:3", "m3:4:2"])])
+def test_a_repeated_grid_id_is_classified_once(capsys, family, grid, ids):
+    # the text lines and the JSON keys name the same ids, in the order each
+    # was first named
+    code, out, _ = run(capsys, "classify", family, "--grid", grid)
+    assert code == 0
+    assert out.splitlines() == [f"{i}: dimension 0; [L1,L1]=0" for i in ids]
+    code, out, _ = run(capsys, "classify", family, "--grid", grid, "--json")
+    assert code == 0
+    assert list(json.loads(out)) == ids
 
 
 def test_classify_grid_rejects_mismatched_shapes(capsys):
