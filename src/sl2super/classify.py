@@ -17,9 +17,9 @@ validate the same spec object, so ``classify`` does not evaluate it again).
 its canonical nullspace, and ``classify`` packages the solutions as actual
 superalgebra tables, each solved one re-verified from scratch (the zero
 table's verdict is the precondition report, and it is assembled only when
-read).  ``residual_matrix`` builds the same linear map by direct bracket
-evaluation on assembled tables, as an independent cross-check of the
-symbolic route.
+read).  ``residual_matrix`` builds the same linear map from the residuals
+that ``check_leibniz_super`` reports on assembled one-unknown tables, as an
+independent cross-check of the symbolic route.
 
 Two prefilters shrink the system before it is generated.
 ``annihilator_prefilter`` flags odd positions whose products all vanish.
@@ -63,7 +63,7 @@ from fractions import Fraction
 from functools import cached_property, partial
 from math import gcd
 
-from .algebra import (BimoduleSpec, SuperAlgebra, Vec, check_bimodule_axioms,
+from .algebra import (BimoduleSpec, SuperAlgebra, check_bimodule_axioms,
                       check_leibniz_super)
 from .catalog import (OddBracketTable, assemble, module_n1, sl2,
                       superalgebra_s1, superalgebra_s2)
@@ -757,74 +757,35 @@ def classify(even: SuperAlgebra, mod: BimoduleSpec,
 def residual_matrix(even: SuperAlgebra, mod: BimoduleSpec
                     ) -> tuple[list[tuple[tuple[str, str, str], str]], Matrix]:
     """Superidentity residuals as an explicit matrix over the full symmetric
-    unknowns, computed by assembling one table per unit unknown and
-    evaluating brackets directly.
+    unknowns: column p holds the residuals that ``check_leibniz_super``
+    reports on the table assembled with unknown p at 1 as its only odd
+    product.
 
-    This is the slow, independent route: no symbolic expansion, just the
-    definition of the residual on every triple with at least two odd
-    members.  Row order is lexicographic in (triple, component).  The
-    columns express that residuals are linear in the product table, which
-    the tests verify against random tables.
+    This is the evaluated, independent route: no symbolic expansion, just
+    the checker's evaluation of the definition on one-unknown tables.  A
+    row is every (triple, component) with at least two odd members, in
+    lexicographic order, whether or not a column reads it; on those tables
+    the other triples hold by the preconditions.  The columns express that
+    residuals are linear in the product table, which the tests verify
+    against random tables.
     """
     _check_preconditions(even, mod)
     ne, nm = even.dim, mod.module_dim
     full = _full_unknowns(ne, nm)
     dim = ne + nm
-
-    def residuals_for(alg: SuperAlgebra) -> dict[tuple[int, int, int], Vec]:
-        par = [alg.parity(i) for i in range(dim)]
-        out = {}
-        for x in range(dim):
-            for y in range(dim):
-                for z in range(dim):
-                    if par[x] + par[y] + par[z] < 2:
-                        continue
-                    sign = -1 if (par[y] and par[z]) else 1
-                    inner = alg.bracket_indices(y, z)
-                    term1: Vec = {}
-                    for t, c in inner.items():
-                        for r, c2 in alg.bracket_indices(x, t).items():
-                            term1[r] = term1.get(r, Fraction(0)) + c * c2
-                    res = dict(term1)
-                    for t, c in alg.bracket_indices(x, y).items():
-                        for r, c2 in alg.bracket_indices(t, z).items():
-                            res[r] = res.get(r, Fraction(0)) - c * c2
-                    for t, c in alg.bracket_indices(x, z).items():
-                        for r, c2 in alg.bracket_indices(t, y).items():
-                            res[r] = res.get(r, Fraction(0)) + sign * c * c2
-                    res = {r: v for r, v in res.items() if v != 0}
-                    if res:
-                        out[(x, y, z)] = res
-        return out
-
     labels = [even.label(i) for i in range(ne)] + list(mod.odd_labels)
+    row_labels = [((labels[x], labels[y], labels[z]), labels[comp])
+                  for x in range(dim) for y in range(dim) for z in range(dim)
+                  if (x >= ne) + (y >= ne) + (z >= ne) >= 2
+                  for comp in range(dim)]
+    row_index = {label: r for r, label in enumerate(row_labels)}
+
     entries: dict[tuple[int, int], Fraction] = {}
-    row_index: dict[tuple[int, int, int, int], int] = {}
-    row_labels: list[tuple[tuple[str, str, str], str]] = []
-
-    def row_for(x, y, z, comp):
-        key = (x, y, z, comp)
-        if key not in row_index:
-            row_index[key] = len(row_labels)
-            row_labels.append(((labels[x], labels[y], labels[z]),
-                               labels[comp]))
-        return row_index[key]
-
-    # enumerate rows deterministically first: all candidate triples/components
-    for x in range(dim):
-        for y in range(dim):
-            for z in range(dim):
-                if (x >= ne) + (y >= ne) + (z >= ne) < 2:
-                    continue
-                for comp in range(dim):
-                    row_for(x, y, z, comp)
-
     for col, unk in enumerate(full):
         table = OddBracketTable.build({(unk.i, unk.j): {unk.kind: 1}})
-        alg = assemble(even, mod, table)
-        for (x, y, z), res in residuals_for(alg).items():
-            for comp, val in res.items():
-                entries[(row_index[(x, y, z, comp)], col)] = val
+        for v in check_leibniz_super(assemble(even, mod, table)):
+            for comp, val in v.residual.items():
+                entries[(row_index[(v.labels, comp)], col)] = val
 
     return row_labels, Matrix.from_entries(len(row_labels), len(full), entries)
 

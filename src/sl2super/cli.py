@@ -177,6 +177,9 @@ def _parse_grid(family: str, grid: str) -> list[str]:
             if not (_PARAMETER.fullmatch(lo) and _PARAMETER.fullmatch(hi)):
                 raise _UsageError(f"bad grid range {part!r}")
             lo_i, hi_i = int(lo), int(hi)
+            if lo_i > hi_i:
+                raise _UsageError(f"grid range {part!r} is reversed; "
+                                  f"write it as {hi}..{lo}")
             # bound the range before expanding it: the module dimension
             # grows with n, and a negative n names no module
             if (lo_i < -MAX_MODULE_DIM

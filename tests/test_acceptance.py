@@ -146,6 +146,24 @@ def test_criterion_7():
             assert rs.contains(row.as_dict())
         for row in alternating_coefficient_rows(n):
             assert rs.contains(row)
+        # the generated system has full rank here, so the containments
+        # above hold for any rows; the rows of the triples with one even
+        # member have rank N - (n mod 2), which a lost row lowers, and span
+        # what the hand rows without the cubic row span
+        quadratic = [row.as_dict() for row in symmetric_ladder_hand_system(
+            n, include_cubic_rows=False).rows]
+        mixed = [row.as_dict() for row in gen.rows
+                 if sum(lab in ("e", "f", "h") for lab in row.triple) == 1]
+        rs_hand, rs_mixed = RowSpace(rs.ncols), RowSpace(rs.ncols)
+        for row in quadratic:
+            rs_hand.add(row)
+        for row in mixed:
+            rs_mixed.add(row)
+        assert rs_hand.rank == rs_mixed.rank == len(gen.unknowns) - n % 2
+        assert all(rs_mixed.contains(row) for row in quadratic)
+        assert all(rs_hand.contains(row) for row in mixed)
+        for row in alternating_coefficient_rows(n):
+            assert rs_mixed.contains(row)
 
 
 @pytest.mark.acceptance(8, "structural-theorems")

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_rowspace import RowSpace as ReferenceRowSpace
+from test_algebra import reference_leibniz
 from sl2super.algebra import (BasisVector, BimoduleSpec, Parity, SuperAlgebra,
                               _leibniz_residuals, _split_extension,
                               check_bimodule_axioms, check_leibniz,
@@ -378,7 +379,9 @@ def test_residual_matrix_rejects_broken_module():
 @settings(max_examples=25, deadline=None)
 def test_residual_matrix_is_the_linearization(p, q, r):
     # residuals of an arbitrary symmetric table equal the matrix action on
-    # its coordinate vector: the superidentity is linear in the products
+    # its coordinate vector: the superidentity is linear in the products.
+    # The matrix reads ``check_leibniz_super``, so the table's residuals
+    # come from the dense evaluation of the definition instead
     labels, mat = residual_matrix(sl2(), module_n1(1))
     coeffs = {"a_0_0": p, "b_0_1": q, "c_1_1": r}
     full = [Fraction(coeffs.get(u.name, 0))
@@ -388,9 +391,9 @@ def test_residual_matrix_is_the_linearization(p, q, r):
     table = OddBracketTable.build({
         (0, 0): {0: p}, (0, 1): {1: q}, (1, 1): {2: r}})
     alg = assemble(sl2(), module_n1(1), table)
-    report = check_leibniz_super(alg)
-    actual = {(v.labels, comp): val for v in report
-              for comp, val in v.residual.items()}
+    actual = {(triple, comp): val for _, triple, residual
+              in reference_leibniz(alg, "leibniz-super", graded=True)
+              for comp, val in residual}
     for (triple, comp), value in zip(labels, predicted):
         assert actual.get((triple, comp), Fraction(0)) == value
 
@@ -458,6 +461,33 @@ def test_alternating_sign_rows_are_consequences(n):
     assert rows
     for row in rows:
         assert rs.contains(row)
+
+
+def span(rows, ncols):
+    rs = RowSpace(ncols)
+    for row in rows:
+        rs.add(row)
+    return rs
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_quadratic_hand_rows_span_the_mixed_generated_rows(n):
+    # the generated system has full rank for n >= 2, so containment in its
+    # row space holds for any rows; the rows of the triples with one even
+    # member have rank N - (n mod 2), which a lost row lowers, and span what
+    # the hand rows without the cubic row span
+    hand = [row.as_dict() for row in
+            symmetric_ladder_hand_system(n, include_cubic_rows=False).rows]
+    gen = generate_constraints(sl2(), module_n1(n))
+    mixed = [row.as_dict() for row in gen.rows
+             if sum(lab in ("e", "f", "h") for lab in row.triple) == 1]
+    ncols = len(gen.unknowns)
+    rs_hand, rs_mixed = span(hand, ncols), span(mixed, ncols)
+    assert rs_hand.rank == rs_mixed.rank == ncols - n % 2
+    assert all(rs_mixed.contains(row) for row in hand)
+    assert all(rs_hand.contains(row) for row in mixed)
+    assert all(rs_mixed.contains(row)
+               for row in alternating_coefficient_rows(n))
 
 
 # ---------------------------------------------------------------------------

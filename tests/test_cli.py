@@ -310,6 +310,18 @@ def test_a_repeated_grid_id_is_classified_once(capsys, family, grid, ids):
     assert list(json.loads(out)) == ids
 
 
+@pytest.mark.parametrize("grid,message", [
+    ("1..2,5..3", "grid range '5..3' is reversed; write it as 3..5"),
+    ("3..1", "grid range '3..1' is reversed; write it as 1..3"),
+    ("2..-1", "grid range '2..-1' is reversed; write it as -1..2")],
+    ids=["after-a-range", "alone", "negative-end"])
+def test_a_reversed_grid_range_is_a_usage_error(capsys, grid, message):
+    # not an empty range to drop: the other ranges are not classified alone
+    code, out, err = run(capsys, "classify", "n1", "--grid", grid)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_classify_grid_rejects_mismatched_shapes(capsys):
     code, _, err = run(capsys, "classify", "m3", "--grid", "2..4")
     assert code == 2 and "error:" in err
