@@ -7,7 +7,9 @@ systems.  Scalars are ``fractions.Fraction`` (arbitrary precision, always
 in lowest terms with positive denominator).  The row-space engine,
 ``RowSpace``, eliminates in integers, fraction-free, and builds a
 ``Fraction`` only where a reduced echelon form or a nullspace is read.
-Results are exact and platform independent.  No floating point anywhere.
+``Matrix`` stores its shape and sparse rows, which ``RowSpace`` reads as
+they are; it builds dense tuples only where they are read.  Results are
+exact and platform independent.  No floating point anywhere.
 
 Rational results transfer to any extension field: the rank of a matrix with
 rational entries does not change over R or C, so solution-space dimensions
@@ -197,102 +199,100 @@ class RowSpace:
 
 
 class Matrix:
-    """Immutable dense matrix of exact rationals."""
+    """Immutable matrix of exact rationals: its shape, and each row stored
+    as a dict from column to its nonzero ``Fraction`` entries.  Dense
+    tuples are built only where read, by ``row``, ``rows`` and ``repr``."""
 
     __slots__ = ("_rows", "nrows", "ncols")
 
     def __init__(self, rows: Iterable[Iterable]):
-        data = tuple(tuple(parse_scalar(x) for x in r) for r in rows)
-        if data:
-            width = len(data[0])
-            if any(len(r) != width for r in data):
-                raise ValueError("ragged rows")
-        else:
-            width = 0
-        self._rows = data
-        self.nrows = len(data)
-        self.ncols = width
+        data = [[parse_scalar(x) for x in r] for r in rows]
+        width = len(data[0]) if data else 0
+        if any(len(r) != width for r in data):
+            raise ValueError("ragged rows")
+        self._rows = tuple({j: v for j, v in enumerate(r) if v} for r in data)
+        self.nrows, self.ncols = len(data), width
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "Matrix":
-        return cls([[0] * ncols for _ in range(nrows)])
+        return cls.from_entries(nrows, ncols, {})
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls.from_entries(n, n, {(i, i): 1 for i in range(n)})
 
     @classmethod
     def from_entries(cls, nrows: int, ncols: int,
                      entries: dict[tuple[int, int], object]) -> "Matrix":
-        rows = [[_ZERO] * ncols for _ in range(nrows)]
+        if nrows < 0 or ncols < 0:
+            raise ValueError("nrows and ncols must be nonnegative")
+        rows = tuple({} for _ in range(nrows))
         for (i, j), v in entries.items():
             if not (0 <= i < nrows and 0 <= j < ncols):
                 raise IndexError(f"entry ({i},{j}) outside {nrows}x{ncols}")
-            rows[i][j] = parse_scalar(v)
-        return cls(rows)
+            v = parse_scalar(v)
+            if v:
+                rows[i][j] = v
+        m = cls.__new__(cls)
+        m._rows, m.nrows, m.ncols = rows, nrows, ncols
+        return m
 
     def entry(self, i: int, j: int) -> Fraction:
         if not (0 <= i < self.nrows and 0 <= j < self.ncols):
             raise IndexError(f"({i},{j}) outside {self.nrows}x{self.ncols}")
-        return self._rows[i][j]
+        return self._rows[i].get(j, _ZERO)
 
     def row(self, i: int) -> tuple[Fraction, ...]:
         if not 0 <= i < self.nrows:
             raise IndexError(f"row {i} out of range")
-        return self._rows[i]
+        out = [_ZERO] * self.ncols
+        for j, v in self._rows[i].items():
+            out[j] = v
+        return tuple(out)
 
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        return self._rows
+        return tuple(map(self.row, range(self.nrows)))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Matrix) and self._rows == other._rows
+        return (isinstance(other, Matrix) and self.ncols == other.ncols
+                and self._rows == other._rows)
 
     def __hash__(self):
-        return hash(self._rows)
+        # over dense rows: equal stored rows may differ in item order
+        return hash(self.rows())
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(format_scalar(x) for x in r) for r in self._rows)
+        body = "; ".join(" ".join(format_scalar(x) for x in r)
+                         for r in self.rows())
         return f"Matrix({self.nrows}x{self.ncols}: {body})"
 
     def _row_space(self) -> RowSpace:
         space = RowSpace(self.ncols)
         for r in self._rows:
-            space.add({j: v for j, v in enumerate(r) if v != 0})
+            space.add(r)
         return space
 
     def rref(self) -> tuple["Matrix", list[int]]:
-        return rref(self)
+        """Reduced row echelon form and its pivot column list.
+
+        Pivot entries are 1 and are the only nonzero entries in their columns;
+        zero rows are moved to the bottom.  rref(rref(m)) == rref(m).
+        """
+        space = self._row_space()
+        entries = {(i, j): v for i, r in enumerate(space.echelon_rows())
+                   for j, v in r.items()}
+        return (Matrix.from_entries(self.nrows, self.ncols, entries),
+                space.pivot_columns())
 
     def rank(self) -> int:
-        return rank(self)
+        return self._row_space().rank
 
     def nullspace(self) -> list[tuple[Fraction, ...]]:
-        return nullspace(self)
+        """Canonical basis of the right kernel; empty list for injective maps.
+
+        len(nullspace(m)) + rank(m) == m.ncols.
+        """
+        return self._row_space().nullspace()
 
 
-def rref(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and its pivot column list.
-
-    Pivot entries are 1 and are the only nonzero entries in their columns;
-    zero rows are moved to the bottom.  rref(rref(m)) == rref(m).
-    """
-    space = m._row_space()
-    pivots = space.pivot_columns()
-    rows = []
-    for rd in space.echelon_rows():
-        rows.append([rd.get(j, _ZERO) for j in range(m.ncols)])
-    while len(rows) < m.nrows:
-        rows.append([_ZERO] * m.ncols)
-    return Matrix(rows), pivots
-
-
-def rank(m: Matrix) -> int:
-    return m._row_space().rank
-
-
-def nullspace(m: Matrix) -> list[tuple[Fraction, ...]]:
-    """Canonical basis of the right kernel; empty list for injective maps.
-
-    len(nullspace(m)) + rank(m) == m.ncols.
-    """
-    return m._row_space().nullspace()
+rref, rank, nullspace = Matrix.rref, Matrix.rank, Matrix.nullspace

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference_rowspace import RowSpace as ReferenceRowSpace
@@ -265,6 +265,7 @@ def test_rref_known_matrix():
     assert pivots == [0, 2]
     assert reduced.rows()[0] == (Fraction(1), Fraction(2), Fraction(0))
     assert reduced.rows()[1] == (Fraction(0), Fraction(0), Fraction(1))
+    assert reduced.rows()[2] == (Fraction(0),) * 3
     assert rank(m) == 2
 
 
@@ -311,3 +312,63 @@ def test_rank_nullity(m):
 @settings(max_examples=40, deadline=None)
 def test_rank_invariant_under_transpose(m):
     assert rank(m) == rank(Matrix(zip(*m.rows())))
+
+
+@given(matrix_strategy)
+# its reduced first row is stored with column 3 before column 2
+@example(Matrix([[1, 1, 0, 1], [0, 1, 1, 0]]))
+@settings(max_examples=60, deadline=None)
+def test_equal_matrices_hash_alike(m):
+    # the same matrix built every way a Matrix is made, explicit zero
+    # entries included, in ascending and in reversed entry order
+    entries = {(i, j): m.entry(i, j) for i in range(m.nrows)
+               for j in range(m.ncols)}
+    reduced = rref(m)[0]
+    assert (reduced.nrows, reduced.ncols) == (m.nrows, m.ncols)
+    pairs = [
+        (m, Matrix(m.rows())),
+        (m, Matrix.from_entries(m.nrows, m.ncols, entries)),
+        (m, Matrix.from_entries(m.nrows, m.ncols,
+                                dict(reversed(entries.items())))),
+        (reduced, Matrix(reduced.rows())),
+        (Matrix.zeros(m.nrows, m.ncols),
+         Matrix([[0] * m.ncols for _ in range(m.nrows)])),
+        (Matrix.identity(m.ncols),
+         Matrix([[int(i == j) for j in range(m.ncols)]
+                 for i in range(m.ncols)])),
+    ]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+        assert a.rows() == b.rows() and repr(a) == repr(b)
+
+
+def test_from_entries_drops_explicit_zeros():
+    assert Matrix.from_entries(2, 2, {(0, 0): 0}) == Matrix.zeros(2, 2)
+    assert Matrix.from_entries(1, 2, {(0, 1): "0/3"}) == Matrix([[0, 0]])
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: Matrix.zeros(0, 3), id="zeros"),
+    pytest.param(lambda: Matrix.from_entries(0, 3, {}), id="from_entries"),
+    pytest.param(lambda: rref(Matrix.zeros(0, 3))[0], id="rref"),
+])
+def test_a_matrix_without_rows_keeps_its_width(make):
+    m = make()
+    assert (m.nrows, m.ncols) == (0, 3)
+    assert m.rows() == () and rank(m) == 0
+    # rank-nullity: every column is free
+    assert nullspace(m) == [tuple(Fraction(int(i == j)) for j in range(3))
+                            for i in range(3)]
+    assert m != Matrix.zeros(0, 2)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: Matrix.zeros(-1, 2), id="zeros(-1,2)"),
+    pytest.param(lambda: Matrix.zeros(2, -1), id="zeros(2,-1)"),
+    pytest.param(lambda: Matrix.from_entries(-1, 0, {}),
+                 id="from_entries(-1,0)"),
+    pytest.param(lambda: Matrix.identity(-1), id="identity(-1)"),
+])
+def test_a_negative_size_is_rejected(make):
+    with pytest.raises(ValueError):
+        make()
