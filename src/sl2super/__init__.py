@@ -3,8 +3,9 @@
 
 The package provides the multiplication-table catalog (``catalog``), exact
 rational linear algebra (``linalg``), identity checkers over arbitrary tables
-(``algebra``), and the constraint generator and solver that recovers the
-possible odd-times-odd products of a given bimodule (``classify``).  All
+(``algebra``), the constraint generator and solver that recovers the
+possible odd-times-odd products of a given bimodule (``classify``), and the
+independent routes the tests hold that solver against (``oracles``).  All
 arithmetic is over the rationals; no floating point is used anywhere, so
 every reported kernel dimension is exact and transfers verbatim to any field
 extension of the rationals.
@@ -21,13 +22,13 @@ from .catalog import (CATALOG_IDS, ERRATA, Erratum, OddBracketTable, assemble,
                       superalgebra_s2)
 from .classify import (Classification, ConstraintRow, ConstraintSystem,
                        InvalidStructure, SolutionSpace, UnknownId,
-                       alternating_coefficient_rows, annihilator_prefilter,
-                       classify, generate_constraints, residual_matrix,
-                       solve, symmetric_ladder_hand_system,
-                       verify_rescaling_isomorphism,
-                       weight_compatible_unknowns)
+                       annihilator_prefilter, classify, generate_constraints,
+                       solve, weight_compatible_unknowns)
 from .linalg import (Matrix, RowSpace, Scalar, format_scalar, nullspace,
                      parse_scalar, rank, rational_sqrt, rref)
+from .oracles import (alternating_coefficient_rows, residual_matrix,
+                      symmetric_ladder_hand_system,
+                      verify_rescaling_isomorphism)
 
 __version__ = "0.1.0"
 
@@ -42,11 +43,11 @@ __all__ = [
     "superalgebra_s2",
     "Classification", "ConstraintRow", "ConstraintSystem",
     "InvalidStructure", "SolutionSpace", "UnknownId",
-    "alternating_coefficient_rows", "annihilator_prefilter", "classify",
-    "generate_constraints", "residual_matrix", "solve",
-    "symmetric_ladder_hand_system", "verify_rescaling_isomorphism",
+    "annihilator_prefilter", "classify", "generate_constraints", "solve",
     "weight_compatible_unknowns",
     "Matrix", "RowSpace", "Scalar", "format_scalar", "nullspace",
     "parse_scalar", "rank", "rational_sqrt", "rref",
+    "alternating_coefficient_rows", "residual_matrix",
+    "symmetric_ladder_hand_system", "verify_rescaling_isomorphism",
     "__version__",
 ]

@@ -540,17 +540,21 @@ def check_graded_antisymmetry(A: SuperAlgebra) -> ViolationReport:
     An empty report combined with an empty check_leibniz_super report means
     A is a Lie superalgebra (the graded Jacobi identity follows).
     """
-    bad = []
-    for i in range(A.dim):
-        for j in range(A.dim):
-            sign = Fraction(-1) if A.parity(i) and A.parity(j) else Fraction(1)
-            residual = _vadd(A.bracket_indices(i, j),
-                             A.bracket_indices(j, i), sign)
-            if residual:
-                bad.append(Violation(
-                    "graded-antisymmetry", (A.label(i), A.label(j)),
-                    _labelled(A, residual)))
-    return ViolationReport(tuple(bad))
+    return ViolationReport(tuple(
+        Violation("graded-antisymmetry", (A.label(i), A.label(j)),
+                  _labelled(A, s))
+        for i, j, s in _graded_symmetrizations(A)))
+
+
+def _graded_symmetrizations(A: SuperAlgebra) -> Iterator[tuple]:
+    """(i, j, [b_i,b_j] + (-1)^{|i||j|}[b_j,b_i]) for each basis pair where
+    that is nonzero, in lexicographic pair order: only a stored product or
+    its mirror can give one, so no other pair is visited."""
+    for i, j in sorted(A._table.keys() | {(j, i) for i, j in A._table}):
+        sign = Fraction(-1) if A.parity(i) and A.parity(j) else Fraction(1)
+        s = _vadd(A.bracket_indices(i, j), A.bracket_indices(j, i), sign)
+        if s:
+            yield i, j, s
 
 
 # ---------------------------------------------------------------------------
@@ -789,18 +793,17 @@ def right_annihilator(A: SuperAlgebra) -> list[Element]:
     """Canonical basis of R(A) = {z : [x, z] = 0 for all x}.
 
     Computed exactly as the joint kernel of the operators z -> [b_i, z]
-    stacked into one matrix; the basis is the canonical reduced echelon
-    nullspace basis.
+    stacked into one matrix, whose row (i, k) holds the k-th coordinates of
+    the stored products [b_i, b_j]; the basis is the canonical reduced
+    echelon nullspace basis.
     """
+    rows: dict[tuple[int, int], Vec] = {}
+    for (i, j), vec in sorted(A._table.items()):
+        for k, v in vec.items():
+            rows.setdefault((i, k), {})[j] = v
     space = RowSpace(A.dim)
-    for i in range(A.dim):
-        # rows of the matrix of z -> [b_i, z]
-        rows: dict[int, Vec] = {}
-        for j in range(A.dim):
-            for k, v in A.bracket_indices(i, j).items():
-                rows.setdefault(k, {})[j] = v
-        for row in rows.values():
-            space.add(row)
+    for row in rows.values():
+        space.add(row)
     return [Element({k: v for k, v in enumerate(vec) if v != 0})
             for vec in space.nullspace()]
 
@@ -819,13 +822,7 @@ def symmetrized_products_in_annihilator(A: SuperAlgebra) -> ViolationReport:
     span = RowSpace(A.dim)
     for elem in right_annihilator(A):
         span.add(dict(elem.coeffs))
-    bad = []
-    for i in range(A.dim):
-        for j in range(A.dim):
-            sign = Fraction(-1) if A.parity(i) and A.parity(j) else Fraction(1)
-            s = _vadd(A.bracket_indices(i, j), A.bracket_indices(j, i), sign)
-            if s and not span.contains(s):
-                bad.append(Violation(
-                    "symmetrized-product-in-annihilator",
-                    (A.label(i), A.label(j)), _labelled(A, s)))
-    return ViolationReport(tuple(bad))
+    return ViolationReport(tuple(
+        Violation("symmetrized-product-in-annihilator",
+                  (A.label(i), A.label(j)), _labelled(A, s))
+        for i, j, s in _graded_symmetrizations(A) if not span.contains(s)))

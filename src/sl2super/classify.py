@@ -17,9 +17,9 @@ validate the same spec object, so ``classify`` does not evaluate it again).
 its canonical nullspace, and ``classify`` packages the solutions as actual
 superalgebra tables, each solved one re-verified from scratch (the zero
 table's verdict is the precondition report, and it is assembled only when
-read).  ``residual_matrix`` builds the same linear map from the residuals
-that ``check_leibniz_super`` reports on assembled one-unknown tables, as an
-independent cross-check of the symbolic route.
+read).  The independent routes that the tests hold these against, the
+evaluated ``residual_matrix`` and the hand-written ladder systems, are in
+``oracles``.
 
 Two prefilters shrink the system before it is generated.
 ``annihilator_prefilter`` flags odd positions whose products all vanish.
@@ -65,10 +65,9 @@ from math import gcd
 
 from .algebra import (BimoduleSpec, SuperAlgebra, check_bimodule_axioms,
                       check_leibniz_super)
-from .catalog import (OddBracketTable, assemble, module_n1, sl2,
-                      superalgebra_s1, superalgebra_s2)
-from .linalg import (Matrix, RowSpace, format_scalar, parse_scalar,
-                     rational_sqrt)
+from .catalog import (OddBracketTable, assemble, superalgebra_s1,
+                      superalgebra_s2)
+from .linalg import RowSpace, format_scalar
 
 
 class InvalidStructure(ValueError):
@@ -753,178 +752,3 @@ def classify(even: SuperAlgebra, mod: BimoduleSpec,
     return Classification(generate, sol, mod, tuple(solved), filtered,
                           strict, symmetry_emerged)
 
-
-def residual_matrix(even: SuperAlgebra, mod: BimoduleSpec
-                    ) -> tuple[list[tuple[tuple[str, str, str], str]], Matrix]:
-    """Superidentity residuals as an explicit matrix over the full symmetric
-    unknowns: column p holds the residuals that ``check_leibniz_super``
-    reports on the table assembled with unknown p at 1 as its only odd
-    product.
-
-    This is the evaluated, independent route: no symbolic expansion, just
-    the checker's evaluation of the definition on one-unknown tables.  A
-    row is every (triple, component) with at least two odd members, in
-    lexicographic order, whether or not a column reads it; on those tables
-    the other triples hold by the preconditions.  The columns express that
-    residuals are linear in the product table, which the tests verify
-    against random tables.
-    """
-    _check_preconditions(even, mod)
-    ne, nm = even.dim, mod.module_dim
-    full = _full_unknowns(ne, nm)
-    dim = ne + nm
-    labels = [even.label(i) for i in range(ne)] + list(mod.odd_labels)
-    row_labels = [((labels[x], labels[y], labels[z]), labels[comp])
-                  for x in range(dim) for y in range(dim) for z in range(dim)
-                  if (x >= ne) + (y >= ne) + (z >= ne) >= 2
-                  for comp in range(dim)]
-    row_index = {label: r for r, label in enumerate(row_labels)}
-
-    entries: dict[tuple[int, int], Fraction] = {}
-    for col, unk in enumerate(full):
-        table = OddBracketTable.build({(unk.i, unk.j): {unk.kind: 1}})
-        for v in check_leibniz_super(assemble(even, mod, table)):
-            for comp, val in v.residual.items():
-                entries[(row_index[(v.labels, comp)], col)] = val
-
-    return row_labels, Matrix.from_entries(len(row_labels), len(full), entries)
-
-
-# ---------------------------------------------------------------------------
-# independently derived closed-form system for the symmetric ladder module
-# ---------------------------------------------------------------------------
-
-
-def symmetric_ladder_hand_system(n: int, include_cubic_rows: bool = True
-                                 ) -> ConstraintSystem:
-    """Closed-form constraint system for ``module_n1(n)``, written out by
-    hand as a cross-check oracle for the generator.
-
-    With [x_i,x_j] = a_{i,j}e + b_{i,j}f + c_{i,j}h (symmetric), the
-    superidentity against h, f, e gives, for 0 <= i <= j <= n (terms whose
-    index leaves the range are absent):
-
-        h rows: (i+j+1-n) a_{i,j} = 0
-                (i+j-1-n) b_{i,j} = 0
-                (i+j-n)   c_{i,j} = 0
-        f rows: a_{i,j+1} + a_{i+1,j} = 0
-                b_{i,j+1} + b_{i+1,j} = 2 c_{i,j}
-                c_{i,j+1} + c_{i+1,j} = a_{i,j}
-        e rows: i(n+1-i) a_{i-1,j} + j(n+1-j) a_{i,j-1} = 2 c_{i,j}
-                i(n+1-i) b_{i-1,j} + j(n+1-j) b_{i,j-1} = 0
-                i(n+1-i) c_{i-1,j} + j(n+1-j) c_{i,j-1} = b_{i,j}
-
-    Those bilinear-in-even rows do not exhaust the superidentity: for odd n
-    a one-parameter alternating family survives them, and the all-odd triple
-    (x_{n-2}, x_1, x_1) contributes the extra row that removes it (its
-    x_0 component reads -2n a_{1,n-2}, plus -3(n-2) a_{1,1} when n = 3).
-    ``include_cubic_rows`` appends that row for odd n >= 3; without it the
-    system is strictly weaker than the generated one for odd n.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    nm = n + 1
-    unknowns = _full_unknowns(3, nm)
-    pos = {(u.kind, u.i, u.j): p for p, u in enumerate(unknowns)}
-    A, B, C = 0, 1, 2
-
-    def at(kind: int, i: int, j: int) -> int:
-        if i > j:
-            i, j = j, i
-        return pos[(kind, i, j)]
-
-    collector = _RowCollector()
-
-    def row(terms: list[tuple[int, int, int, int]],
-            triple: tuple[str, str, str], comp: str) -> None:
-        coeffs: dict[int, int] = {}
-        for kind, i, j, cf in terms:
-            if cf == 0 or not (0 <= i <= n and 0 <= j <= n):
-                continue
-            p = at(kind, i, j)
-            coeffs[p] = coeffs.get(p, 0) + cf
-        collector.add(coeffs, triple, comp)
-
-    for i in range(nm):
-        for j in range(i, nm):
-            xi, xj = f"x_{i}", f"x_{j}"
-            row([(A, i, j, i + j + 1 - n)], (xi, xj, "h"), "e")
-            row([(B, i, j, i + j - 1 - n)], (xi, xj, "h"), "f")
-            row([(C, i, j, i + j - n)], (xi, xj, "h"), "h")
-            row([(A, i, j + 1, 1), (A, i + 1, j, 1)], (xi, xj, "f"), "e")
-            row([(B, i, j + 1, 1), (B, i + 1, j, 1), (C, i, j, -2)],
-                (xi, xj, "f"), "f")
-            row([(C, i, j + 1, 1), (C, i + 1, j, 1), (A, i, j, -1)],
-                (xi, xj, "f"), "h")
-            ci, cj = i * (n + 1 - i), j * (n + 1 - j)
-            row([(A, i - 1, j, ci), (A, i, j - 1, cj), (C, i, j, -2)],
-                (xi, xj, "e"), "e")
-            row([(B, i - 1, j, ci), (B, i, j - 1, cj)], (xi, xj, "e"), "f")
-            row([(C, i - 1, j, ci), (C, i, j - 1, cj), (B, i, j, -1)],
-                (xi, xj, "e"), "h")
-
-    if include_cubic_rows and n >= 3 and n % 2 == 1:
-        terms = [(A, 1, n - 2, -2 * n)]
-        if n == 3:
-            terms.append((A, 1, 1, -3 * (n - 2)))
-        row(terms, (f"x_{n - 2}", "x_1", "x_1"), "x_0")
-
-    return ConstraintSystem(unknowns, tuple(collector.rows))
-
-
-def alternating_coefficient_rows(n: int) -> list[dict[int, Fraction]]:
-    """Rows stating a_{i,n-1-i} = (-1)^i a_{0,n-1} over the full symmetric
-    unknowns of ``module_n1(n)``; consequences of the generated system,
-    testable by row-space membership."""
-    if n < 1:
-        return []
-    unknowns = _full_unknowns(3, n + 1)
-    pos = {(u.kind, u.i, u.j): p for p, u in enumerate(unknowns)}
-
-    def at(i: int, j: int) -> int:
-        if i > j:
-            i, j = j, i
-        return pos[(0, i, j)]
-
-    rows = []
-    for i in range(1, n):
-        coeffs: dict[int, Fraction] = {}
-        p1, p2 = at(i, n - 1 - i), at(0, n - 1)
-        coeffs[p1] = coeffs.get(p1, Fraction(0)) + 1
-        coeffs[p2] = coeffs.get(p2, Fraction(0)) - Fraction((-1) ** i)
-        coeffs = {p: v for p, v in coeffs.items() if v != 0}
-        if coeffs:
-            rows.append(coeffs)
-    return rows
-
-
-def verify_rescaling_isomorphism(c) -> bool:
-    """Check mechanically that the one-parameter family member at parameter
-    c is isomorphic to the normalized table via the odd rescaling by 1/r,
-    where c = r^2.
-
-    Over the rationals only square parameters admit the rescaling; over a
-    field containing a square root of every scalar the same change of basis
-    normalizes any nonzero parameter.  Raises ValueError for zero or
-    non-square c.
-    """
-    c = parse_scalar(c)
-    if c == 0:
-        raise ValueError("parameter must be nonzero")
-    r = rational_sqrt(c)
-    if r is None:
-        raise ValueError(
-            f"{c} is not the square of a rational; the rescaling needs a "
-            "field extension")
-    member = assemble(sl2(), module_n1(1), OddBracketTable.build(
-        {(0, 0): {0: 2 * c}, (1, 1): {1: 2 * c}, (0, 1): {2: c}}))
-    report = check_leibniz_super(member)
-    if not report.ok:
-        raise InvalidStructure(
-            "family member fails the superidentity:\n" + report.describe(5),
-            report)
-    scales = (Fraction(1), Fraction(1), Fraction(1), 1 / r, 1 / r)
-    if member.rescaled(scales) != superalgebra_s2():
-        raise InvalidStructure(
-            f"rescaling by 1/{r} did not reach the normalized table")
-    return True

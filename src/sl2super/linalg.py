@@ -29,11 +29,15 @@ _ONE = Fraction(1)
 
 
 def parse_scalar(value) -> Fraction:
-    """Coerce an int, Fraction, or "p/q" string to an exact rational."""
+    """Coerce an int, Fraction, or "p/q" string to an exact rational; a
+    string that is not one, zero denominator included, is a ValueError."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, str)):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"not an exact scalar: {value!r}")
 
 

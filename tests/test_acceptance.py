@@ -31,17 +31,19 @@ from sl2super.catalog import (
     superalgebra_s2,
 )
 from sl2super.classify import (
-    alternating_coefficient_rows,
     annihilator_prefilter,
     classify,
     generate_constraints,
-    residual_matrix,
     solve,
-    symmetric_ladder_hand_system,
-    verify_rescaling_isomorphism,
 )
 from sl2super.cli import main as cli_main
 from sl2super.linalg import Matrix, RowSpace
+from sl2super.oracles import (
+    alternating_coefficient_rows,
+    residual_matrix,
+    symmetric_ladder_hand_system,
+    verify_rescaling_isomorphism,
+)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 

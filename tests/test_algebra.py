@@ -834,6 +834,82 @@ def test_symmetrized_products_requires_super_leibniz():
             symmetrized_products_in_annihilator(broken)
 
 
+def reference_symmetrizations(A):
+    """(i, j, [b_i,b_j] + (-1)^{|i||j|}[b_j,b_i]) for every basis pair where
+    it is nonzero, walking all dim^2 pairs densely."""
+    out = []
+    for i, j in itertools.product(range(A.dim), repeat=2):
+        sign = -1 if A.parity(i) and A.parity(j) else 1
+        s = {k: A.bracket_indices(i, j).get(k, 0)
+             + sign * A.bracket_indices(j, i).get(k, 0) for k in range(A.dim)}
+        s = {k: v for k, v in s.items() if v}
+        if s:
+            out.append((i, j, s))
+    return out
+
+
+def reference_right_annihilator(A):
+    """Nullspace of the dense matrix with one row (i, k) per basis pair,
+    holding the k-th coordinates of [b_i, b_j] for every j."""
+    mat = Matrix.from_entries(A.dim * A.dim, A.dim, {
+        (i * A.dim + k, j): v
+        for i, j in itertools.product(range(A.dim), repeat=2)
+        for k, v in A.bracket_indices(i, j).items()})
+    return [Element(dict(enumerate(vec))) for vec in mat.nullspace()]
+
+
+def assert_pair_checks_match_reference(A):
+    def labelled(i, j, s):
+        return (A.label(i), A.label(j)), [(A.label(k), s[k]) for k in sorted(s)]
+
+    sums = reference_symmetrizations(A)
+    assert [(v.identity, v.labels, list(v.residual.items()))
+            for v in check_graded_antisymmetry(A)] == [
+        ("graded-antisymmetry", *labelled(i, j, s)) for i, j, s in sums]
+    ann = reference_right_annihilator(A)
+    assert right_annihilator(A) == ann
+    if not check_leibniz_super(A).ok:
+        with pytest.raises(ValueError):
+            symmetrized_products_in_annihilator(A)
+        return
+    basis = [[e.coeffs.get(k, 0) for k in range(A.dim)] for e in ann]
+
+    def outside(s):  # the annihilator basis is independent
+        vec = [s.get(k, 0) for k in range(A.dim)]
+        return Matrix([*basis, vec]).rank() > len(basis)
+
+    assert [(v.identity, v.labels, list(v.residual.items()))
+            for v in symmetrized_products_in_annihilator(A)] == [
+        ("symmetrized-product-in-annihilator", *labelled(i, j, s))
+        for i, j, s in sums if outside(s)]
+
+
+@given(st.one_of(graded_tables(), coprime_denominator_tables()))
+@example(two_dim_nonlie())
+@example(superalgebra_s2())
+@settings(max_examples=150, deadline=None)
+def test_pair_checks_match_the_dense_reference_on_random_tables(A):
+    # the checks walk only the stored pairs and their mirrors
+    assert_pair_checks_match_reference(A)
+
+
+@pytest.mark.parametrize("build", [b for _, b in DIFFERENTIAL_CASES],
+                         ids=[name for name, _ in DIFFERENTIAL_CASES])
+def test_pair_checks_match_the_dense_reference(build):
+    assert_pair_checks_match_reference(build())
+
+
+@pytest.mark.parametrize("entry", [
+    lambda: Element({0: "1/0"}),
+    lambda: BimoduleSpec(sl2(), ("m",), ([{0: "1/0"}], [{}], [{}]),
+                         ([{}], [{}], [{}])),
+    lambda: OddBracketTable.build({(0, 0): {0: "1/0"}})],
+    ids=["Element", "BimoduleSpec", "OddBracketTable.build"])
+def test_a_zero_denominator_is_a_value_error(entry):
+    with pytest.raises(ValueError):
+        entry()
+
+
 # ---------------------------------------------------------------------------
 # randomized structural properties
 # ---------------------------------------------------------------------------

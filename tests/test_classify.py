@@ -1,8 +1,10 @@
 """Constraint generation, solving, and the classification pipeline."""
 
+import ast
 import copy
 import importlib
 import json
+import pathlib
 from collections import Counter
 from fractions import Fraction
 from math import lcm
@@ -39,18 +41,20 @@ from sl2super.classify import (
     ConstraintSystem,
     InvalidStructure,
     UnknownId,
-    alternating_coefficient_rows,
     annihilator_prefilter,
     classify,
     generate_constraints,
-    residual_matrix,
     solve,
-    symmetric_ladder_hand_system,
-    verify_rescaling_isomorphism,
     weight_compatible_unknowns,
 )
 from sl2super.cli import main
 from sl2super.linalg import Matrix, RowSpace, parse_scalar
+from sl2super.oracles import (
+    alternating_coefficient_rows,
+    residual_matrix,
+    symmetric_ladder_hand_system,
+    verify_rescaling_isomorphism,
+)
 
 
 def named(space, vec):
@@ -488,6 +492,61 @@ def test_quadratic_hand_rows_span_the_mixed_generated_rows(n):
     assert all(rs_hand.contains(row) for row in mixed)
     assert all(rs_mixed.contains(row)
                for row in alternating_coefficient_rows(n))
+
+
+def test_alternating_rows_reject_a_negative_n():
+    # as symmetric_ladder_hand_system and module_n1 do
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        alternating_coefficient_rows(-1)
+    assert alternating_coefficient_rows(0) == []
+
+
+# ---------------------------------------------------------------------------
+# the oracles stay apart from the solver they cross-check
+# ---------------------------------------------------------------------------
+
+
+# every name ``oracles`` may import from ``classify``, and why it may
+ORACLE_IMPORTS_FROM_CLASSIFY = {
+    "ConstraintRow": "public row type of the hand system",
+    "ConstraintSystem": "public system type of the hand system",
+    "InvalidStructure": "public error of a failed precondition or check",
+    "_full_unknowns": "the column order shared with the solver; it lists "
+                      "every unknown and filters nothing, so no fast path",
+    "_check_preconditions": "the precondition check every entry point runs",
+}
+ORACLE_NAMES = ("residual_matrix", "symmetric_ladder_hand_system",
+                "alternating_coefficient_rows", "verify_rescaling_isomorphism")
+
+
+def test_oracles_import_only_the_allowed_names():
+    # no generator, solver or row collector reaches an oracle: from
+    # ``classify`` only the allow-listed names, from elsewhere no private
+    # name, and no module object whose attributes would reach past the list
+    source = importlib.import_module("sl2super.oracles").__file__
+    tree = ast.parse(pathlib.Path(source).read_text())
+    for node in ast.walk(tree):
+        assert not isinstance(node, ast.Import), ast.unparse(node)
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = ("sl2super." * bool(node.level)) + (node.module or "")
+        names = {alias.name for alias in node.names}
+        assert module not in ("sl2super.", "importlib"), ast.unparse(node)
+        if module == "sl2super.classify":
+            assert names <= ORACLE_IMPORTS_FROM_CLASSIFY.keys(), (
+                names - ORACLE_IMPORTS_FROM_CLASSIFY.keys())
+        else:
+            assert not any(name.startswith("_") or name == "*"
+                           for name in names), ast.unparse(node)
+
+
+def test_the_oracles_live_outside_the_solver():
+    solver = importlib.import_module("sl2super.classify")
+    oracles = importlib.import_module("sl2super.oracles")
+    package = importlib.import_module("sl2super")
+    for name in ORACLE_NAMES:
+        assert not hasattr(solver, name)
+        assert getattr(package, name) is getattr(oracles, name)
 
 
 # ---------------------------------------------------------------------------
@@ -1655,6 +1714,12 @@ def test_rescaling_normalizes_square_parameters(c):
 def test_rescaling_rejects_non_squares(c):
     with pytest.raises(ValueError):
         verify_rescaling_isomorphism(c)
+
+
+def test_rescaling_rejects_a_zero_denominator():
+    # a ValueError, as for a parameter that is not a square
+    with pytest.raises(ValueError):
+        verify_rescaling_isomorphism("1/0")
 
 
 @given(st.fractions(max_denominator=8))

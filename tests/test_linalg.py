@@ -45,6 +45,13 @@ def test_parse_scalar_rejects_floats_and_garbage():
         parse_scalar(0.5)
 
 
+@pytest.mark.parametrize("text", ["1/0", "-3/0", "0/0"])
+def test_parse_scalar_rejects_a_zero_denominator(text):
+    # a ValueError, as for any other string that is not a rational
+    with pytest.raises(ValueError):
+        parse_scalar(text)
+
+
 def test_format_scalar_round_trip_and_shape():
     assert format_scalar(Fraction(-9, 4)) == "-9/4"
     assert format_scalar(Fraction(4, 2)) == "2"
