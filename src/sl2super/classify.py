@@ -751,4 +751,3 @@ def classify(even: SuperAlgebra, mod: BimoduleSpec,
 
     return Classification(generate, sol, mod, tuple(solved), filtered,
                           strict, symmetry_emerged)
-
